@@ -1,7 +1,7 @@
 """Design-space searches over the security model.
 
 Four questions an experiment planner asks, answered by root finding and
-scans over :func:`brpqkd.security.evaluate_point`:
+scans over the security model of :mod:`brpqkd.security`:
 
 * how far does the link stay secure (:func:`secure_distance`),
 * which signal intensity maximizes that reach (:func:`optimal_signal_intensity`),
@@ -18,14 +18,17 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from .params import ChannelParams, DetectorParams, SourceParams
-from .photon_stats import brp_empty_prob, channel_transmittance, poisson_pmf
+from .photon_stats import brp_empty_prob, channel_transmittance, poisson_pmf, transmittance
 from .security import (
     SecurityReport,
     binary_entropy,
     eve_info_single,
     evaluate_point,
     mutual_info_ab,
+    security_margin,
 )
 
 __all__ = [
@@ -117,33 +120,36 @@ def secure_distance(
 ) -> SecureDistance:
     """Longest span (km) at which the security margin stays positive.
 
-    Scans the margin on a 1 km grid up to ``scan_cap_km``, then bisects
-    the sign change down to 0.01 km and returns the largest length that
-    actually evaluated secure.  A margin that never goes negative
+    Scans the margin on a 1 km grid up to ``scan_cap_km`` in one array
+    call (:func:`brpqkd.security.security_margin`), then bisects the sign
+    change down to 0.01 km with scalar
+    :func:`brpqkd.security.evaluate_point` and returns the largest length
+    that evaluated secure there.  A margin that never goes negative
     returns the cap with ``unbounded=True``; one that is never positive
     returns 0.  A margin with several sign changes on the grid raises
     :class:`MultipleCrossingsError` listing every crossing bracket.
     """
     source = SourceParams(mu_s=mu_s)
+    cap = ChannelParams(length_km=scan_cap_km, loss_db_per_km=loss_db_per_km)
 
     def margin(length_km: float) -> float:
         channel = ChannelParams(length_km=length_km, loss_db_per_km=loss_db_per_km)
         return evaluate_point(source, channel, det).r_s
 
-    n_steps = int(round(scan_cap_km / _COARSE_STEP_KM))
-    grid = [step * _COARSE_STEP_KM for step in range(n_steps + 1)]
-    secure_flags = [margin(length) > 0.0 for length in grid]
+    n_steps = int(round(cap.length_km / _COARSE_STEP_KM))
+    grid = np.arange(n_steps + 1) * _COARSE_STEP_KM
+    eta_total = transmittance(grid, cap.loss_db_per_km) * det.eta_d
+    secure_flags = security_margin(source.mu_s, eta_total, det) > 0.0
 
     crossings = [
-        (grid[i], grid[i + 1])
-        for i in range(n_steps)
-        if secure_flags[i] != secure_flags[i + 1]
+        (float(grid[i]), float(grid[i + 1]))
+        for i in np.flatnonzero(secure_flags[:-1] != secure_flags[1:])
     ]
     if len(crossings) > 1:
         raise MultipleCrossingsError(crossings)
     if not crossings:
         if secure_flags[0]:
-            return SecureDistance(distance_km=grid[-1], unbounded=True)
+            return SecureDistance(distance_km=float(grid[-1]), unbounded=True)
         return SecureDistance(distance_km=0.0, unbounded=False)
     if not secure_flags[0]:
         # insecure at zero but secure further out: not a reach question

@@ -20,6 +20,7 @@ from .params import ChannelParams
 __all__ = [
     "poisson_pmf",
     "detect_prob",
+    "transmittance",
     "channel_transmittance",
     "brp_empty_prob",
 ]
@@ -67,9 +68,18 @@ def detect_prob(i: int, eta: float) -> float:
     return -math.expm1(i * math.log1p(-eta))
 
 
+def transmittance(length_km, loss_db_per_km):
+    """Power transmittance ``10^(-loss_db_per_km * L / 10)`` of a fiber span.
+
+    ``length_km`` may be a float or a numpy array of lengths.  Nothing is
+    validated here; :class:`ChannelParams` checks the inputs.
+    """
+    return 10.0 ** (-loss_db_per_km * length_km / 10.0)
+
+
 def channel_transmittance(channel: ChannelParams) -> float:
     """Power transmittance of a fiber span, ``10^(-loss_db_per_km * L / 10)``."""
-    return 10.0 ** (-channel.loss_db_per_km * channel.length_km / 10.0)
+    return transmittance(channel.length_km, channel.loss_db_per_km)
 
 
 def brp_empty_prob(mu_b: float, eta_total: float) -> float:

@@ -22,8 +22,11 @@ in the information rates is basis sifting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .params import ChannelParams, DetectorParams, SourceParams
 from .photon_stats import channel_transmittance
@@ -40,7 +43,11 @@ __all__ = [
     "eve_info_single",
     "bob_error_rate",
     "evaluate_point",
+    "security_margin",
 ]
+
+# math.exp(mu_s) overflows above this intensity
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class UndefinedPointError(ValueError):
@@ -109,7 +116,8 @@ def eve_error_rate(mu_s: float, d: float) -> float:
     Multi-photon attacks are error-free, so the whole observed error
     budget concentrates on the single-photon fraction:
     ``d * mu_s / p_1 = d * exp(mu_s)``, clamped at 1/2 where the budget
-    exceeds a random channel.
+    exceeds a random channel.  Total in ``mu_s``: where ``exp(mu_s)``
+    would overflow, any ``d > 0`` is clamped.
     """
     mu_s = float(mu_s)
     if mu_s <= 0.0:
@@ -117,7 +125,7 @@ def eve_error_rate(mu_s: float, d: float) -> float:
     d = float(d)
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"error rate must lie in [0, 1], got {d}")
-    return min(d * math.exp(mu_s), 0.5)
+    return _eve_error_clamped(mu_s, d)[0]
 
 
 def eve_info_single(mu_s: float, d: float) -> float:
@@ -156,6 +164,13 @@ def _clamp_half(raw: float) -> tuple[float, bool]:
     if raw > 0.5:
         return 0.5, True
     return raw, False
+
+
+def _eve_error_clamped(mu_s: float, d: float) -> tuple[float, bool]:
+    if mu_s > _LOG_DBL_MAX:
+        # exp(mu_s) overflows; d * exp(mu_s) > 1/2 for every normal d > 0
+        return (0.5, True) if d > 0.0 else (0.0, False)
+    return _clamp_half(d * math.exp(mu_s))
 
 
 @dataclass(frozen=True)
@@ -199,7 +214,7 @@ def evaluate_point(
             f"no expected clicks at mu_s={source.mu_s}, eta_total={eta_total}"
         )
     d_bob, d_bob_clamped = _clamp_half(_bob_error_raw(pair, det))
-    d_eve, d_eve_clamped = _clamp_half(d_bob * math.exp(source.mu_s))
+    d_eve, d_eve_clamped = _eve_error_clamped(source.mu_s, d_bob)
 
     i_ab = mutual_info_ab(d_bob)
     i_ae_multi = eve_info_multi(pair)
@@ -225,3 +240,45 @@ def evaluate_point(
         d_bob_clamped=d_bob_clamped,
         d_eve_clamped=d_eve_clamped,
     )
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    # binary_entropy over an array, with 0 log 0 = 0
+    y = 1.0 - x
+    log2_x = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+    log2_y = np.log2(y, out=np.zeros_like(y), where=y > 0.0)
+    return -x * log2_x - y * log2_y
+
+
+def security_margin(mu_s: float, eta_total: np.ndarray, det: DetectorParams) -> np.ndarray:
+    """Security margin ``r_s`` of one signal intensity over an array of total efficiencies.
+
+    The array counterpart of ``evaluate_point(...).r_s``, with the same
+    formulas in the same order, so each value agrees with the scalar
+    path to within a few ulp of ``y_exp / 2`` (numpy and libm may round
+    ``expm1`` and ``log2`` differently).  Inputs are trusted:
+    ``mu_s >= 0`` and ``eta_total`` in [0, 1].  Raises
+    :class:`UndefinedPointError` if any point expects no clicks.
+    """
+    # results that underflow to zero are intended, as on the scalar path
+    with np.errstate(under="ignore"):
+        y_exp = -np.expm1(-eta_total * mu_s)
+        undefined = y_exp <= 0.0
+        if undefined.any():
+            raise UndefinedPointError(
+                f"no expected clicks at mu_s={mu_s}, "
+                f"eta_total={float(eta_total[np.argmax(undefined)])}"
+            )
+        y_1 = math.exp(-mu_s) * mu_s * eta_total
+        d_bob = np.minimum((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp, 0.5)
+        if mu_s > _LOG_DBL_MAX:
+            d_eve = np.where(d_bob > 0.0, 0.5, 0.0)
+        else:
+            d_eve = np.minimum(d_bob * math.exp(mu_s), 0.5)
+        d_prime = 0.5 - np.sqrt(d_eve * (1.0 - d_eve))
+
+        i_ab = 1.0 - _entropy(d_bob)
+        i_ae_multi = (y_exp - y_1) / y_exp
+        i_ae_single = math.exp(-mu_s) * (1.0 - _entropy(d_prime))
+        i_ae = i_ae_multi + i_ae_single
+        return 0.5 * y_exp * i_ab - 0.5 * y_exp * i_ae

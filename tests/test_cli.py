@@ -51,6 +51,15 @@ def test_evaluate_insecure_point_exit_code(capsys):
     assert record["r_s"] < 0.0
 
 
+def test_evaluate_past_the_exp_overflow_is_insecure():
+    proc = _run_module("evaluate", "--mu-s", "800")
+    assert proc.returncode == 3
+    assert b"Traceback" not in proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["secure"] is False
+    assert record["d_eve"] == 0.5
+
+
 def test_evaluate_rejects_negative_length(capsys):
     code, out, err = _run(capsys, "evaluate", "--length-km", "-5")
     assert code == 2

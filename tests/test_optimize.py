@@ -1,7 +1,6 @@
 """Searches and sweeps: reach, working point, reference-pulse floor, disturbance."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,16 +64,63 @@ def test_secure_distance_zero_when_insecure_everywhere():
 
 
 def test_secure_distance_reports_multiple_crossings(monkeypatch):
-    def alternating(source, channel, det):
-        # secure on [0,100) and [200,300), insecure elsewhere
-        band = int(channel.length_km // 100)
-        return SimpleNamespace(r_s=1.0 if band in (0, 2) else -1.0)
+    def alternating(mu_s, eta_total, det):
+        # the scan grid is 1 km per index: secure on [0,100) and [200,300), insecure elsewhere
+        band = np.arange(len(eta_total)) // 100
+        return np.where(np.isin(band, (0, 2)), 1.0, -1.0)
 
-    monkeypatch.setattr(brpqkd.optimize, "evaluate_point", alternating)
+    monkeypatch.setattr(brpqkd.optimize, "security_margin", alternating)
     with pytest.raises(MultipleCrossingsError) as excinfo:
         secure_distance(0.5, GYS_DETECTOR, 0.21)
     assert len(excinfo.value.crossings) == 3
     assert excinfo.value.crossings[0] == (99.0, 100.0)
+
+
+_FAST = DetectorParams(eta_d=0.15, y0=3e-7, e_detector=0.015)
+_DARK = DetectorParams(eta_d=0.03, y0=8e-6, e_detector=0.045)
+_NOISY = DetectorParams(eta_d=0.045, y0=1.7e-6, e_detector=0.25)
+_GRID19 = [i / 20 for i in range(2, 21)]
+
+
+@pytest.mark.parametrize(
+    "mu_s, det, loss, expected",
+    [
+        (0.5, GYS_DETECTOR, 0.21, (146.2578125, False)),
+        (0.1, GYS_DETECTOR, 0.21, (128.7734375, False)),
+        (1.0, GYS_DETECTOR, 0.21, (127.6484375, False)),
+        (0.37, GYS_DETECTOR, 0.17, (179.8203125, False)),
+        (0.73, GYS_DETECTOR, 0.25, (119.6640625, False)),
+        (0.5, IDEAL_DETECTOR, 0.21, (1000.0, True)),
+        (0.5, _NOISY, 0.21, (0.0, False)),
+        (0.45, _FAST, 0.19, (235.921875, False)),
+        (0.3, _DARK, 0.23, (90.8515625, False)),
+        (0.9, _FAST, 0.2, (223.2734375, False)),
+    ],
+)
+def test_secure_distance_pinned_values(mu_s, det, loss, expected):
+    """Reaches are exact bisection results; the array scan must not move them."""
+    assert tuple(secure_distance(mu_s, det, loss)) == expected
+
+
+@pytest.mark.parametrize(
+    "det, loss, grid, expected",
+    [
+        (GYS_DETECTOR, 0.21, _GRID19, (0.4642425845017245, 146.3046875, False, False)),
+        (GYS_DETECTOR, 0.17, _GRID19, (0.4698153935018086, 180.734375, False, False)),
+        (_FAST, 0.19, _GRID19, (0.6214781741247581, 237.2109375, False, False)),
+        (_DARK, 0.23, _GRID19, (0.3900146627487171, 91.703125, False, False)),
+        (IDEAL_DETECTOR, 0.21, [0.2, 0.4, 0.6, 0.8], (0.5, 1000.0, True, True)),
+        (GYS_DETECTOR, 0.21, [0.5], (0.5, 146.2578125, False, False)),
+        (GYS_DETECTOR, 0.21, [0.1, 0.2], (0.2, 139.453125, False, False)),
+    ],
+)
+def test_optimal_intensity_pinned_values(det, loss, grid, expected):
+    assert tuple(optimal_signal_intensity(det, loss, grid)) == expected
+
+
+def test_searches_are_total_past_the_exp_overflow():
+    assert secure_distance(800.0, GYS_DETECTOR, 0.21) == (0.0, False)
+    assert disturbance_bound(800.0) == (0.0, True)
 
 
 def test_optimal_intensity_lands_near_half():

@@ -294,3 +294,19 @@ def test_evaluate_point_randomized_invariants():
         raw_d_eve = report.d_bob * math.exp(mu_s)
         assert report.d_eve_clamped == (raw_d_eve > 0.5)
         assert report.d_eve == min(raw_d_eve, 0.5)
+
+
+def test_evaluate_point_is_total_past_the_exp_overflow():
+    # exp(800) overflows a double; the allowed single-photon error clamps instead
+    report = evaluate_point(
+        SourceParams(mu_s=800.0), ChannelParams(length_km=50.0), GYS_DETECTOR
+    )
+    for name in ("y_exp", "y_1", "d_bob", "d_eve", "i_ab", "i_ae_multi", "i_ae_single",
+                 "i_ae", "r_bob", "r_eve", "r_s"):
+        assert math.isfinite(getattr(report, name)), name
+    assert report.d_eve == 0.5
+    assert report.d_eve_clamped
+    assert not report.secure
+    assert eve_error_rate(800.0, 0.033) == 0.5
+    assert eve_error_rate(800.0, 0.0) == 0.0
+    assert eve_info_single(800.0, 0.033) == 0.0
