@@ -10,9 +10,10 @@ Outputs are deterministic: numbers are printed at 9 significant digits
 (scientific below 1e-3), JSON key order is fixed, and Monte Carlo runs
 are seeded, so identical invocations produce byte-identical files.
 
-Exit codes: 0 success (and, for evaluate, secure), 2 usage or parameter
-error, 3 point evaluated insecure, 4 Monte Carlo disagrees with the
-analytic model.
+Exit codes: 0 success (and, for evaluate, secure), 2 usage, parameter or
+arithmetic error (a non-finite number bound for JSON counts as one), 3
+point evaluated insecure, 4 Monte Carlo disagrees with the analytic
+model.
 """
 
 from __future__ import annotations
@@ -130,6 +131,22 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _column(values: list[object]) -> list[str]:
+    # only floats share the memo: True == 1 == 1.0 would collide, while
+    # equal floats print alike (-0.0 and 0.0 both print "0")
+    memo: dict[float, str] = {}
+    texts = []
+    for value in values:
+        if type(value) is float:
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = format_number(value)
+        else:
+            text = _cell(value)
+        texts.append(text)
+    return texts
+
+
 def _json_value(value: object) -> object:
     if isinstance(value, float):
         return float(format_number(value))
@@ -143,13 +160,10 @@ def _render(records: list[dict[str, object]], fmt: str) -> str:
             for record in records
         ]
         body = payload[0] if len(payload) == 1 else payload
-        return json.dumps(body, indent=2) + "\n"
+        return json.dumps(body, indent=2, allow_nan=False) + "\n"
     columns = list(records[0].keys())
-    lines = [",".join(columns)]
-    lines.extend(
-        ",".join(_cell(record[name]) for name in columns) for record in records
-    )
-    return "\n".join(lines) + "\n"
+    texts = [_column([record[name] for record in records]) for name in columns]
+    return "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -463,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -294,7 +295,13 @@ class McComparison(NamedTuple):
 
     ``se`` is the binomial standard error at the *target* rate, so a
     z-score is defined even when the estimate sits on 0 or 1; ``z`` is
-    0.0 where no relevant samples exist.
+    0.0 where no relevant samples exist.  Where fewer than one event is
+    expected (``n * rate < 1`` for a count of ``n`` trials at the target
+    rate) and more are observed, a normal z would overstate the
+    surprise, so ``z`` is the normal quantile of the exact Poisson tail
+    instead: ``z = -NormalDist().inv_cdf(P(X >= k))`` with
+    ``X ~ Poisson(n * rate)`` and ``k`` the observed count.  A tail too
+    small for a float keeps the normal z.
     """
 
     name: str
@@ -304,7 +311,22 @@ class McComparison(NamedTuple):
     z: float
 
 
-def _z(estimate: float, target: float, se: float) -> float:
+def _poisson_tail(k: int, lam: float) -> float:
+    # P(X >= k) for X ~ Poisson(lam < 1), summed upward: no cancellation
+    term = poisson_pmf(k, lam)
+    tail = 0.0
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= lam / k
+    return tail
+
+
+def _z(estimate: float, target: float, se: float, count: int, expected: float) -> float:
+    if expected < 1.0 and count > expected:
+        tail = _poisson_tail(count, expected)
+        if tail > 0.0:
+            return -NormalDist().inv_cdf(tail)
     if se <= 0.0:
         return 0.0
     return (estimate - target) / se
@@ -322,33 +344,34 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
     eta_total = channel_transmittance(config.channel) * config.det.eta_d
     g_b0 = brp_empty_prob(config.source.mu_b, eta_total)
 
-    def row(name: str, estimate: float, target: float, se: float) -> McComparison:
-        return McComparison(name, estimate, target, se, _z(estimate, target, se))
+    def row(name: str, estimate: float, target: float, count: int, trials: int,
+            rate: float, scale: float = 1.0) -> McComparison:
+        # estimate = scale * count / trials with count ~ Binomial(trials, rate)
+        se = scale * _binomial_se(rate, trials)
+        z = _z(estimate, target, se, count, trials * rate)
+        return McComparison(name, estimate, target, se, z)
 
     rows = []
     if config.eve.mode == "none":
         pair = yields(config.source, eta_total)
         rows.append(row("y_exp", result.est_y_exp, pair.y_exp,
-                        _binomial_se(pair.y_exp, counts.pulses)))
+                        counts.photon_clicks, counts.pulses, pair.y_exp))
         if config.source.mu_s > 0.0:
             p_1 = poisson_pmf(1, config.source.mu_s)
             click_given_single = pair.y_1 / p_1
         else:
             p_1, click_given_single = 0.0, 0.0
-        rows.append(row("y_1", result.est_y_1, pair.y_1,
-                        p_1 * _binomial_se(click_given_single, counts.single_emissions)))
+        rows.append(row("y_1", result.est_y_1, pair.y_1, counts.single_emission_clicks,
+                        counts.single_emissions, click_given_single, p_1))
         try:
             d_target = bob_error_rate(config.source, config.channel, config.det)
         except UndefinedPointError:
             d_target = None  # no expected clicks, nothing to compare
         if d_target is not None:
             rows.append(row("d_bob", result.est_d_bob, d_target,
-                            _binomial_se(d_target, counts.clicks)))
-        rows.append(row("g_b0", result.est_g_b0, g_b0,
-                        _binomial_se(g_b0, counts.pulses)))
-    else:
-        rows.append(row("g_b0", result.est_g_b0, g_b0,
-                        _binomial_se(g_b0, counts.pulses)))
+                            counts.error_clicks, counts.clicks, d_target))
+    rows.append(row("g_b0", result.est_g_b0, g_b0, counts.brp_misses, counts.pulses, g_b0))
+    if config.eve.mode != "none":
         rows.append(row("interference_error_rate", result.interference_error_rate, 0.5,
-                        _binomial_se(0.5, counts.blocked_brp_clicks)))
+                        counts.interference_errors, counts.blocked_brp_clicks, 0.5))
     return rows

@@ -15,7 +15,7 @@ plus a plain grid :func:`sweep` for plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .params import ChannelParams, DetectorParams, SourceParams
 from .photon_stats import brp_empty_prob, channel_transmittance, poisson_pmf, transmittance
 from .security import (
-    SecurityReport,
+    _report,
     binary_entropy,
     eve_info_single,
     evaluate_point,
@@ -357,7 +357,7 @@ class SweepGrid:
             object.__setattr__(self, name, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point: the coordinates plus the flattened security report."""
 
@@ -379,22 +379,25 @@ class SweepRow:
     d_eve_clamped: bool
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(SecurityReport))
-
-
-def _flatten(mu_s: float, length_km: float, report: SecurityReport) -> SweepRow:
-    values = {name: getattr(report, name) for name in _REPORT_FIELDS}
-    return SweepRow(mu_s=mu_s, length_km=length_km, **values)
-
-
 def sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate every grid point, ordered by (mu_s, length_km)."""
-    rows = []
-    for mu_s in grid.mu_s_values:
-        source = SourceParams(mu_s=mu_s)
-        for length_km in grid.length_values_km:
-            channel = ChannelParams(
-                length_km=length_km, loss_db_per_km=grid.loss_db_per_km
-            )
-            rows.append(_flatten(mu_s, length_km, evaluate_point(source, channel, det=grid.det)))
-    return rows
+    """Evaluate every grid point, ordered by (mu_s, length_km).
+
+    Each row holds the values :func:`brpqkd.security.evaluate_point`
+    returns for its point, bit for bit.  Both axes are validated before
+    any point is evaluated.
+    """
+    det = grid.det
+    sources = [SourceParams(mu_s=mu_s) for mu_s in grid.mu_s_values]
+    channels = [
+        ChannelParams(length_km=length_km, loss_db_per_km=grid.loss_db_per_km)
+        for length_km in grid.length_values_km
+    ]
+    eta_totals = [
+        transmittance(channel.length_km, channel.loss_db_per_km) * det.eta_d
+        for channel in channels
+    ]
+    return [
+        SweepRow(source.mu_s, channel.length_km, *_report(source.mu_s, eta_total, det))
+        for source in sources
+        for channel, eta_total in zip(channels, eta_totals)
+    ]

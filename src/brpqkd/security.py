@@ -72,6 +72,10 @@ def binary_entropy(x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"expected a probability in [0, 1], got {x}")
+    return _h2(x)
+
+
+def _h2(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -93,9 +97,11 @@ def yields(source: SourceParams, eta_total: float) -> YieldPair:
     eta_total = float(eta_total)
     if not 0.0 <= eta_total <= 1.0:
         raise ValueError(f"eta_total must lie in [0, 1], got {eta_total}")
-    y_exp = -math.expm1(-eta_total * source.mu_s)
-    y_1 = math.exp(-source.mu_s) * source.mu_s * eta_total
-    return YieldPair(y_exp=y_exp, y_1=y_1)
+    return YieldPair(*_yields(source.mu_s, eta_total))
+
+
+def _yields(mu_s: float, eta_total: float) -> tuple[float, float]:
+    return -math.expm1(-eta_total * mu_s), math.exp(-mu_s) * mu_s * eta_total
 
 
 def eve_info_multi(pair: YieldPair) -> float:
@@ -107,7 +113,11 @@ def eve_info_multi(pair: YieldPair) -> float:
     """
     if pair.y_exp <= 0.0:
         raise UndefinedPointError("no expected clicks: y_exp = 0")
-    return (pair.y_exp - pair.y_1) / pair.y_exp
+    return _eve_info_multi(*pair)
+
+
+def _eve_info_multi(y_exp: float, y_1: float) -> float:
+    return (y_exp - y_1) / y_exp
 
 
 def eve_error_rate(mu_s: float, d: float) -> float:
@@ -135,9 +145,12 @@ def eve_info_single(mu_s: float, d: float) -> float:
     yields ``1 - h2(1/2 - sqrt(d_eve (1 - d_eve)))`` bits, weighted here
     by the single-photon emission fraction ``exp(-mu_s) = p_1 / mu_s``.
     """
-    d_eve = eve_error_rate(mu_s, d)
+    return _eve_info_single(mu_s, eve_error_rate(mu_s, d))
+
+
+def _eve_info_single(mu_s: float, d_eve: float) -> float:
     d_prime = 0.5 - math.sqrt(d_eve * (1.0 - d_eve))
-    return math.exp(-mu_s) * (1.0 - binary_entropy(d_prime))
+    return math.exp(-mu_s) * (1.0 - _h2(d_prime))
 
 
 def bob_error_rate(
@@ -149,14 +162,7 @@ def bob_error_rate(
     Raises :class:`UndefinedPointError` where no clicks are expected.
     """
     eta_total = channel_transmittance(channel) * det.eta_d
-    pair = yields(source, eta_total)
-    return _clamp_half(_bob_error_raw(pair, det))[0]
-
-
-def _bob_error_raw(pair: YieldPair, det: DetectorParams) -> float:
-    if pair.y_exp <= 0.0:
-        raise UndefinedPointError("no expected clicks: y_exp = 0")
-    return (det.e_0 * det.y0 + det.e_detector * pair.y_exp) / pair.y_exp
+    return _report(source.mu_s, eta_total, det)[2]
 
 
 def _clamp_half(raw: float) -> tuple[float, bool]:
@@ -208,38 +214,28 @@ def evaluate_point(
     strictly exceeds the eavesdropper bound, ``r_s > 0``.
     """
     eta_total = channel_transmittance(channel) * det.eta_d
-    pair = yields(source, eta_total)
-    if pair.y_exp <= 0.0:
-        raise UndefinedPointError(
-            f"no expected clicks at mu_s={source.mu_s}, eta_total={eta_total}"
-        )
-    d_bob, d_bob_clamped = _clamp_half(_bob_error_raw(pair, det))
-    d_eve, d_eve_clamped = _eve_error_clamped(source.mu_s, d_bob)
+    return SecurityReport(*_report(source.mu_s, eta_total, det))
 
-    i_ab = mutual_info_ab(d_bob)
-    i_ae_multi = eve_info_multi(pair)
-    i_ae_single = eve_info_single(source.mu_s, d_bob)
+
+def _report(mu_s: float, eta_total: float, det: DetectorParams) -> tuple:
+    # the SecurityReport values of one working point, in field order;
+    # inputs are trusted: mu_s >= 0 and eta_total in [0, 1]
+    y_exp, y_1 = _yields(mu_s, eta_total)
+    if y_exp <= 0.0:
+        raise UndefinedPointError(f"no expected clicks at mu_s={mu_s}, eta_total={eta_total}")
+    d_bob, d_bob_clamped = _clamp_half((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp)
+    d_eve, d_eve_clamped = _eve_error_clamped(mu_s, d_bob)
+
+    i_ab = 1.0 - _h2(d_bob)
+    i_ae_multi = _eve_info_multi(y_exp, y_1)
+    i_ae_single = _eve_info_single(mu_s, d_eve)
     i_ae = i_ae_multi + i_ae_single
 
-    r_bob = 0.5 * pair.y_exp * i_ab
-    r_eve = 0.5 * pair.y_exp * i_ae
+    r_bob = 0.5 * y_exp * i_ab
+    r_eve = 0.5 * y_exp * i_ae
     r_s = r_bob - r_eve
-    return SecurityReport(
-        y_exp=pair.y_exp,
-        y_1=pair.y_1,
-        d_bob=d_bob,
-        d_eve=d_eve,
-        i_ab=i_ab,
-        i_ae_multi=i_ae_multi,
-        i_ae_single=i_ae_single,
-        i_ae=i_ae,
-        r_bob=r_bob,
-        r_eve=r_eve,
-        r_s=r_s,
-        secure=r_s > 0.0,
-        d_bob_clamped=d_bob_clamped,
-        d_eve_clamped=d_eve_clamped,
-    )
+    return (y_exp, y_1, d_bob, d_eve, i_ab, i_ae_multi, i_ae_single, i_ae,
+            r_bob, r_eve, r_s, r_s > 0.0, d_bob_clamped, d_eve_clamped)
 
 
 def _entropy(x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Command line surface: exit codes, output formats, config handling."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from brpqkd import cli
 from brpqkd.cli import format_number, main
 
 
@@ -260,3 +263,58 @@ def test_missing_config_file(capsys, tmp_path):
         capsys, "evaluate", "--config", str(tmp_path / "absent.cfg")
     )
     assert code == 2
+
+
+def _seed_csv(records):
+    # the per-record CSV renderer the column-wise one replaced; the reference
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return format_number(value)
+        return str(value)
+
+    columns = list(records[0].keys())
+    lines = [",".join(columns)]
+    lines.extend(",".join(cell(record[name]) for name in columns) for record in records)
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_renderer_matches_the_per_record_renderer():
+    specials = [-0.0, 0.0, math.nan, float("nan"), math.inf, -math.inf,
+                9.99999999e-4, 1e-3, 1.00000001e-3, -9.99999999e-4, -1e-3,
+                1.0, 1, True, False, 0, -7, 146.2578125, 3.344946485685963e-08, "ideal"]
+    records = [
+        {"mu_s": "ideal" if i % 7 == 0 else specials[i % 5], "a": specials[i % len(specials)],
+         "b": specials[(3 * i) % len(specials)], "c": specials[-1 - i % len(specials)]}
+        for i in range(3 * len(specials))
+    ]
+    assert cli._render(records, "csv") == _seed_csv(records)
+    # a column mixing True, 1 and 1.0 keeps each value's own spelling
+    mixed = [{"x": value} for value in (1.0, True, 1, 1.0, False, 0, 0.0, -0.0, True)]
+    assert cli._render(mixed, "csv") == _seed_csv(mixed) == "x\n1\ntrue\n1\n1\nfalse\n0\n0\n0\ntrue\n"
+
+
+def test_arithmetic_errors_exit_2_without_a_traceback(capsys, monkeypatch):
+    def overflowing(config, args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "_cmd_evaluate", overflowing)
+    code, out, err = _run(capsys, "evaluate")
+    assert code == 2
+    assert out == ""
+    assert err == "error: math range error\n"
+
+
+def test_json_never_prints_a_non_finite_number(capsys, monkeypatch):
+    real = cli.evaluate_point
+    monkeypatch.setattr(
+        cli, "evaluate_point",
+        lambda *args: dataclasses.replace(real(*args), r_bob=math.inf),
+    )
+    code, out, err = _run(capsys, "evaluate", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from brpqkd import (
     simulate_attack,
     yields,
 )
-from brpqkd.montecarlo import BLOCK_SIZE
+from brpqkd.montecarlo import BLOCK_SIZE, McCounts, McResult
 
 
 def _config(
@@ -192,3 +193,19 @@ def test_simulate_rejects_attack_configs():
         simulate(config)
     with pytest.raises(ValueError):
         simulate_attack(_config())
+
+
+def test_rare_event_z_uses_the_poisson_tail():
+    """One reference-pulse miss where 0.01436 are expected is a 2.19 sigma event, not 8.2."""
+    n = 1 << 20
+    lam = 0.01436
+    det = DetectorParams(eta_d=1.0, y0=0.0, e_detector=0.0)
+    config = _config(mu_b=-math.log(lam / n), length_km=0.0, det=det, n_pulses=n)
+    counts = McCounts(n, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    result = McResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1 / n, 0.0, 1 / n, 0.0, counts)
+    (g_b0,) = [row for row in compare_with_model(config, result) if row.name == "g_b0"]
+    assert n * g_b0.target == pytest.approx(lam, rel=1e-12)
+    assert g_b0.se == math.sqrt(g_b0.target * (1.0 - g_b0.target) / n)
+    assert (g_b0.estimate - g_b0.target) / g_b0.se == pytest.approx(8.23, abs=0.01)
+    assert g_b0.z == pytest.approx(-NormalDist().inv_cdf(-math.expm1(-lam)), rel=1e-12)
+    assert g_b0.z == pytest.approx(2.19, abs=0.005)

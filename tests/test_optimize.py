@@ -1,6 +1,7 @@
 """Searches and sweeps: reach, working point, reference-pulse floor, disturbance."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from brpqkd import (
     MultipleCrossingsError,
     SourceParams,
     SweepGrid,
+    SweepRow,
     brp_empty_prob,
     brp_intensity_bound,
     disturbance_bound,
@@ -310,3 +312,58 @@ def test_sweep_locates_the_security_boundary():
     assert 143.0 <= last_secure[0.5] <= 149.0
     assert last_secure[0.1] < 143.0
     assert last_secure[1.0] < 143.0
+
+
+def _sweep_detectors():
+    rng = np.random.default_rng(2026)
+    seeded = [
+        DetectorParams(
+            eta_d=float(rng.uniform(0.02, 0.5)),
+            y0=float(10.0 ** rng.uniform(-7.0, -5.0)),
+            e_detector=float(rng.uniform(0.01, 0.05)),
+        )
+        for _ in range(3)
+    ]
+    return [GYS_DETECTOR, IDEAL_DETECTOR, *seeded]
+
+
+@pytest.mark.parametrize("loss", [0.17, 0.21, 0.25])
+def test_sweep_rows_equal_evaluate_point_bitwise(loss):
+    mu_values = tuple(i / 100 for i in range(1, 151, 7)) + (1.5,)
+    lengths = tuple(float(length) for length in range(0, 301, 2))
+    for det in _sweep_detectors():
+        rows = iter(sweep(SweepGrid(mu_values, lengths, det, loss)))
+        for mu_s in mu_values:
+            source = SourceParams(mu_s=mu_s)
+            for length in lengths:
+                channel = ChannelParams(length_km=length, loss_db_per_km=loss)
+                report = evaluate_point(source, channel, det)
+                assert next(rows) == SweepRow(mu_s, length, *astuple(report))
+        assert next(rows, None) is None
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "mu_values, lengths, loss",
+    [
+        ((0.5,), (0.0, 10.0, math.nan), 0.21),  # invalid length
+        ((0.1, math.nan), (0.0, 10.0), 0.21),  # invalid intensity
+        ((0.5,), (0.0, 10.0), math.nan),  # invalid loss
+        ((0.5,), (0.0, 500.0, 1000.0), 4.0),  # no expected clicks at 1000 km
+    ],
+)
+def test_sweep_raises_what_evaluate_point_raises(mu_values, lengths, loss):
+    def per_point():
+        for mu_s in mu_values:
+            source = SourceParams(mu_s=mu_s)
+            for length in lengths:
+                channel = ChannelParams(length_km=length, loss_db_per_km=loss)
+                evaluate_point(source, channel, GYS_DETECTOR)
+
+    grid = SweepGrid(mu_values, lengths, GYS_DETECTOR, loss)
+    assert _raised(lambda: sweep(grid)) == _raised(per_point)
