@@ -16,17 +16,35 @@ the same order: photon counts, blocking coins, survival thinning, dark
 uniforms, error uniforms, reference-pulse uniforms.  The blocking coin
 is drawn even when no eavesdropper is configured, so a null attack
 (``mode="pns"``, ``suppress_fraction=0``, no forwarding) replays the
-exact baseline stream.  Per-block tallies are integers combined by
-summation in block order, which makes results independent of how many
-worker threads ran the blocks.  Photon counts come from numpy's
-``Generator.poisson`` (sequential-search inversion below mean 10,
-transformed rejection above); the numpy version floor in pyproject.toml
-pins that algorithm per release.
+exact baseline stream.  Per-block tallies are integers, so their sum,
+and with it every result, is independent of how many worker threads
+ran the blocks and in which order they finished.
+
+Photon counts come from numpy's ``Generator.poisson``.  The thinning
+stage consumes exactly the stream ``Generator.binomial(n_eff, p_eff)``
+would, but only ``survivors >= 1`` is ever observed, so it is decided
+from the same doubles.  numpy's binomial draws nothing where ``n_eff``
+or ``p_eff`` is 0 and, in its inversion domain, one uniform per pulse
+unless the inversion walk restarts.  The simulator draws one uniform per
+live pulse with ``Generator.random`` and compares it with thresholds,
+computed once per photon number and probability, that replay numpy's
+inversion arithmetic exactly (see :func:`_click_rule`).  It hands the
+block's thinning back to ``Generator.binomial``, from the same generator
+state, where numpy would not invert (``min(p, 1 - p) * n > 30`` for some
+pulse, its BTPE domain) or where a drawn uniform reaches the lowest
+restart threshold among the block's photon numbers.  The numpy version
+floor in pyproject.toml pins neither sampler.  ``tests/test_montecarlo.py``
+checks the thinning against ``Generator.binomial`` on both sides of
+every threshold and the block counts against plain ``rng.binomial``
+thinning; a change to numpy's Poisson sampler would show in the golden
+``mc-validate`` outputs that ``tests/test_golden.py`` replays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -118,17 +136,12 @@ class McCounts(NamedTuple):
     interference_errors: int
 
 
-def _merge_counts(parts: list[McCounts]) -> McCounts:
-    return McCounts(*(sum(values) for values in zip(*parts)))
-
-
 @dataclass(frozen=True)
 class McResult:
     """Estimates with plug-in binomial standard errors, plus the raw tallies.
 
-    ``est_g_b0`` and ``brp_missing_rate`` are the same observable (the
-    bright-pulse vacancy rate); the former carries a standard error for
-    model comparison.  ``interference_error_rate`` is the error rate of
+    ``est_g_b0`` is the bright-pulse vacancy rate (the share of reference
+    pulses that went unseen).  ``interference_error_rate`` is the error rate of
     clicks caused by the bright pulse alone in blocked cycles, 0.0 when
     no such cycle occurred.
     """
@@ -141,7 +154,6 @@ class McResult:
     se_d_bob: float
     est_g_b0: float
     se_g_b0: float
-    brp_missing_rate: float
     interference_error_rate: float
     counts: McCounts
 
@@ -163,6 +175,155 @@ def derive_stream(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
+# Generator.random returns k * 2**-53 for k in [0, 2**53); the click rules
+# below are thresholds on that grid.
+_U_STEP = 2.0**-53
+_U_COUNT = 1 << 53
+
+
+def _inverts(n: int, p: float) -> bool:
+    """Whether numpy's ``random_binomial`` samples B(n, p) by inversion (not BTPE)."""
+    if p <= 0.5:
+        return p * n <= 30.0
+    return (1.0 - p) * n <= 30.0
+
+
+def _inversion_bound(n: int, p: float) -> int:
+    # the largest X numpy's inversion walks to before it restarts
+    np_ = n * p
+    return int(min(n, np_ + 10.0 * math.sqrt(np_ * (1.0 - p) + 1)))
+
+
+def _inversion_p0(n: int, p: float) -> float:
+    # numpy's P(X = 0), the first step of its inversion walk
+    return math.exp(n * math.log1p(-p))
+
+
+def _inversion_x(n: int, p: float, u: float) -> int:
+    """The X numpy's binomial inversion returns for the uniform ``u``.
+
+    A walk that would pass numpy's bound (where numpy restarts with a
+    fresh uniform) returns the bound plus one.  The float operations are
+    those of ``random_binomial_inversion`` in numpy's ``distributions.c``,
+    in the same order, so the walk lands where numpy's does.
+    """
+    q = 1.0 - p
+    bound = _inversion_bound(n, p)
+    px = _inversion_p0(n, p)
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            break
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _first_u_above(n: int, p: float, j: int) -> float:
+    """Smallest uniform ``Generator.random`` can return with inversion X > ``j``.
+
+    X only grows with the uniform (every step subtracts a fixed value and
+    compares with a fixed value), so bisection over the 2**53-point grid
+    finds the threshold exactly.  1.0 means no uniform reaches it.
+    """
+    below, above = -1, _U_COUNT - 1
+    if _inversion_x(n, p, above * _U_STEP) <= j:
+        return 1.0
+    while above - below > 1:
+        mid = (below + above) // 2
+        if _inversion_x(n, p, mid * _U_STEP) > j:
+            above = mid
+        else:
+            below = mid
+    return above * _U_STEP
+
+
+@functools.lru_cache(maxsize=4096)
+def _click_rule(n: int, p: float) -> tuple[float, float, float]:
+    """``(lo, hi, restart)`` for numpy's inversion draw of B(n, p), n >= 1, p > 0.
+
+    With U the one uniform numpy's inversion draws, the draw has at least
+    one success iff ``lo < U < hi``, and numpy restarts (consuming more
+    uniforms) iff ``U >= restart``.  For p > 1/2 numpy inverts for the
+    failures, X ~ B(n, 1 - p), and returns ``n - X``.
+    """
+    if p <= 0.5:
+        restart = _first_u_above(n, p, _inversion_bound(n, p))
+        return _inversion_p0(n, p), 2.0, restart
+    q = 1.0 - p
+    bound = _inversion_bound(n, q)
+    restart = _first_u_above(n, q, bound)
+    hi = restart if n - 1 >= bound else _first_u_above(n, q, n - 1)
+    return -1.0, hi, restart
+
+
+def _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward):
+    if eta_forward is None:
+        n_eff, p_eff = n_emitted, eta_total
+    else:
+        multi = n_emitted >= 2
+        n_eff = np.where(multi, n_emitted - 1, n_emitted)
+        p_eff = np.where(multi, eta_forward, eta_total)
+    if blocked is not None:
+        n_eff = np.where(blocked, 0, n_eff)
+    return rng.binomial(n_eff, p_eff) >= 1
+
+
+def _photon_clicks(rng, n_emitted, blocked, eta_total, eta_forward, scratch):
+    """``binomial(n_eff, p_eff) >= 1`` per pulse, drawing what numpy would.
+
+    A pulse with ``k`` emitted photons is thinned as B(k, eta_total), or
+    as B(k - 1, eta_forward) when ``eta_forward`` is set and k >= 2 (the
+    forwarded photon meets only the detector); blocked pulses keep no
+    photon.  numpy's binomial draws nothing where n or p is 0 and one
+    uniform per inversion otherwise, so this draws one uniform per live
+    pulse, in block order, and decides each click by :func:`_click_rule`.
+    It falls back to ``rng.binomial`` itself, from the same generator
+    state, where numpy would not invert (``min(p, 1 - p) * n > 30``) or a
+    drawn uniform reaches the lowest restart threshold of the block's
+    photon numbers.  ``scratch`` is a float buffer of at least one slot
+    per pulse that the uniforms are drawn into.
+    """
+
+    def thinning(k):
+        if eta_forward is not None and k >= 2:
+            return k - 1, eta_forward
+        return k, eta_total
+
+    k_top = int(n_emitted.max())
+    # p * n grows with k at fixed p, and k = 1 always inverts, so the
+    # largest photon number decides whether numpy leaves inversion
+    if not _inverts(*thinning(k_top)):
+        return _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward)
+    drawn = np.zeros(k_top + 1, dtype=bool)
+    lo = np.full(k_top + 1, -1.0)
+    hi = np.full(k_top + 1, 2.0)
+    restart = 1.0
+    for k in range(1, k_top + 1):
+        n, p = thinning(k)
+        if p > 0.0:
+            drawn[k] = True
+            lo[k], hi[k], r = _click_rule(n, p)
+            restart = min(restart, r)
+    live = drawn.take(n_emitted)
+    if blocked is not None:
+        live &= ~blocked
+    index = np.flatnonzero(live)
+    state = rng.bit_generator.state
+    u = rng.random(out=scratch[: index.size])
+    if restart < 1.0 and index.size and u.max() >= restart:
+        rng.bit_generator.state = state
+        return _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward)
+    k = n_emitted.take(index)
+    click = u > lo.take(k)
+    if hi.min() < 1.0:
+        click &= u < hi.take(k)
+    clicks = np.zeros(n_emitted.size, dtype=bool)
+    clicks[index] = click
+    return clicks
+
+
 def _block_counts(config: McConfig, block_index: int, size: int) -> McCounts:
     rng = derive_stream(config.seed, block_index)
     det = config.det
@@ -171,46 +332,52 @@ def _block_counts(config: McConfig, block_index: int, size: int) -> McCounts:
     suppress = config.eve.suppress_fraction if pns else 0.0
     forward = pns and config.eve.forward_multiphoton_lossless
 
-    # fixed draw order; see module docstring
+    # fixed draw order; see module docstring.  Every uniform array is
+    # drawn into the one block-sized buffer ``u``.
     n_emitted = rng.poisson(config.source.mu_s, size)
-    blocked = (n_emitted == 1) & (rng.random(size) < suppress)
-    if forward:
-        multi = n_emitted >= 2
-        n_eff = np.where(blocked, 0, np.where(multi, n_emitted - 1, n_emitted))
-        p_eff = np.where(multi, det.eta_d, eta_total)
-        survivors = rng.binomial(n_eff, p_eff)
-    else:
-        survivors = rng.binomial(np.where(blocked, 0, n_emitted), eta_total)
-    dark_u = rng.random(size)
-    err_u = rng.random(size)
-    brp_u = rng.random(size)
-
-    p_brp_click = -math.expm1(-eta_total * config.source.mu_b)
-    photon_click = survivors >= 1
-    brp_click = brp_u < p_brp_click
-    # a blocked cycle whose bright pulse still clicks registers anyway:
-    # the empty signal arm interferes with the reference and errs half
-    # the time
-    interference_click = blocked & brp_click
-    click = photon_click | (dark_u < det.y0) | interference_click
-    err_threshold = np.where(
-        photon_click, det.e_detector, np.where(interference_click, 0.5, det.e_0)
-    )
-    error_click = click & (err_u < err_threshold)
     single = n_emitted == 1
+    u = rng.random(size)
+    blocked = single & (u < suppress) if suppress > 0.0 else None
+    photon_click = _photon_clicks(
+        rng, n_emitted, blocked, eta_total, det.eta_d if forward else None, u
+    )
+    dark = rng.random(out=u) < det.y0
+    rng.random(out=u)
+    photon_error = photon_click & (u < det.e_detector)
+    dark_error = u < det.e_0
+    half_error = u < 0.5 if blocked is not None else None
+    brp_click = rng.random(out=u) < -math.expm1(-eta_total * config.source.mu_b)
+
+    photon_clicks = np.count_nonzero(photon_click)
+    # a click without a photon is a dark count or, in a blocked cycle
+    # whose bright pulse still clicks, interference of the empty signal
+    # arm with the reference, which errs half the time
+    other_click = dark & ~photon_click
+    if blocked is None:
+        blocked_cycles = blocked_brp_clicks = interference_errors = 0
+    else:
+        interference_click = blocked & brp_click
+        other_click &= ~interference_click
+        blocked_cycles = np.count_nonzero(blocked)
+        blocked_brp_clicks = np.count_nonzero(interference_click)
+        interference_errors = np.count_nonzero(interference_click & half_error)
 
     return McCounts(
         pulses=size,
-        single_emissions=int(single.sum()),
-        photon_clicks=int(photon_click.sum()),
-        single_emission_clicks=int((single & photon_click).sum()),
-        clicks=int(click.sum()),
-        error_clicks=int(error_click.sum()),
-        brp_misses=int((~brp_click).sum()),
-        blocked_cycles=int(blocked.sum()),
-        blocked_brp_clicks=int(interference_click.sum()),
-        blocked_brp_misses=int((blocked & ~brp_click).sum()),
-        interference_errors=int((error_click & interference_click).sum()),
+        single_emissions=int(np.count_nonzero(single)),
+        photon_clicks=int(photon_clicks),
+        single_emission_clicks=int(np.count_nonzero(single & photon_click)),
+        clicks=int(photon_clicks + np.count_nonzero(other_click) + blocked_brp_clicks),
+        error_clicks=int(
+            np.count_nonzero(photon_error)
+            + np.count_nonzero(other_click & dark_error)
+            + interference_errors
+        ),
+        brp_misses=int(size - np.count_nonzero(brp_click)),
+        blocked_cycles=int(blocked_cycles),
+        blocked_brp_clicks=int(blocked_brp_clicks),
+        blocked_brp_misses=int(blocked_cycles - blocked_brp_clicks),
+        interference_errors=int(interference_errors),
     )
 
 
@@ -253,7 +420,6 @@ def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
         se_d_bob=se_d_bob,
         est_g_b0=est_g_b0,
         se_g_b0=_binomial_se(est_g_b0, n),
-        brp_missing_rate=est_g_b0,
         interference_error_rate=interference_error_rate,
         counts=total,
     )
@@ -262,18 +428,32 @@ def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
 def _run(config: McConfig, threads: int) -> McResult:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    blocks = [
-        (index, min(BLOCK_SIZE, config.n_pulses - index * BLOCK_SIZE))
-        for index in range((config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
+    n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
+    jobs = (
+        (config, index, min(BLOCK_SIZE, config.n_pulses - index * BLOCK_SIZE))
+        for index in range(n_blocks)
+    )
+    total = [0] * len(McCounts._fields)
+
+    def add(part: McCounts) -> None:
+        for field, value in enumerate(part):
+            total[field] += value
+
     if threads == 1:
-        parts = [_block_counts(config, index, size) for index, size in blocks]
+        for job in jobs:
+            add(_block_counts(*job))
     else:
+        # a bounded window of submitted blocks keeps memory flat in n_pulses;
+        # integer tallies sum to the same total in any order
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda job: _block_counts(config, job[0], job[1]), blocks)
-            )
-    return _result_from_counts(config, _merge_counts(parts))
+            window: deque = deque()
+            for job in jobs:
+                window.append(pool.submit(_block_counts, *job))
+                if len(window) > 2 * threads:
+                    add(window.popleft().result())
+            while window:
+                add(window.popleft().result())
+    return _result_from_counts(config, McCounts(*total))
 
 
 def simulate(config: McConfig, *, threads: int = 1) -> McResult:
@@ -298,10 +478,11 @@ class McComparison(NamedTuple):
     0.0 where no relevant samples exist.  Where fewer than one event is
     expected (``n * rate < 1`` for a count of ``n`` trials at the target
     rate) and more are observed, a normal z would overstate the
-    surprise, so ``z`` is the normal quantile of the exact Poisson tail
-    instead: ``z = -NormalDist().inv_cdf(P(X >= k))`` with
-    ``X ~ Poisson(n * rate)`` and ``k`` the observed count.  A tail too
-    small for a float keeps the normal z.
+    surprise, so ``z`` is the normal quantile of the exact mid-p Poisson
+    tail instead: ``z = -NormalDist().inv_cdf(P(X > k) + P(X = k) / 2)``
+    with ``X ~ Poisson(n * rate)`` and ``k`` the observed count.  Counting
+    half of the observed outcome keeps z positive for any count above
+    the expectation.  A tail too small for a float keeps the normal z.
     """
 
     name: str
@@ -311,20 +492,21 @@ class McComparison(NamedTuple):
     z: float
 
 
-def _poisson_tail(k: int, lam: float) -> float:
-    # P(X >= k) for X ~ Poisson(lam < 1), summed upward: no cancellation
+def _poisson_mid_p(k: int, lam: float) -> float:
+    # P(X > k) + P(X = k) / 2 for X ~ Poisson(lam < 1), summed upward: no cancellation
     term = poisson_pmf(k, lam)
-    tail = 0.0
-    while tail + term != tail:
-        tail += term
+    tail = 0.5 * term
+    while True:
         k += 1
         term *= lam / k
-    return tail
+        if tail + term == tail:
+            return tail
+        tail += term
 
 
 def _z(estimate: float, target: float, se: float, count: int, expected: float) -> float:
     if expected < 1.0 and count > expected:
-        tail = _poisson_tail(count, expected)
+        tail = _poisson_mid_p(count, expected)
         if tail > 0.0:
             return -NormalDist().inv_cdf(tail)
     if se <= 0.0:
