@@ -21,8 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .linkbudget import OpticalChain, afterpulse_error, crosstalk_false_click, propagate
 from .montecarlo import EvePolicy, McConfig, compare_with_model, simulate, simulate_attack
@@ -34,7 +35,14 @@ from .optimize import (
     optimal_signal_intensity,
     sweep,
 )
-from .params import ChannelParams, DetectorParams, SourceParams
+from .params import (
+    DEFAULT_LOSS_DB_PER_KM,
+    GYS_DETECTOR,
+    IDEAL_DETECTOR,
+    ChannelParams,
+    DetectorParams,
+    SourceParams,
+)
 from .security import SecurityReport, evaluate_point
 
 __all__ = ["main", "run", "format_number"]
@@ -52,25 +60,37 @@ class UsageError(Exception):
     """Bad flags, config keys or parameter values; maps to exit code 2."""
 
 
+def _option(default: object, help_text: str, **flag: object):
+    # a config-file key that is also a --kebab-case flag with this help text
+    return field(default=default, metadata={"help": help_text, **flag})
+
+
 @dataclass
 class ExperimentConfig:
-    """Merged view of preset, config file and command line flags."""
+    """Every run parameter, merged from preset, config file and flags.
 
-    preset: str = "gys2004"
-    mu_s_values: tuple[float, ...] = (0.5,)
-    mu_s_set: bool = False
-    mu_b: float = 2.0e5
-    length_km: float = 146.0
-    loss_db_km: float = 0.21
-    eta_d: float = 0.045
-    y0: float = 1.7e-6
-    e_detector: float = 0.033
-    e_0: float = 0.5
-    eve_mode: str = "none"
-    suppress_fraction: float = 0.0
+    Each field is a config-file key, parsed by its annotated type; a
+    field with help text is also a ``--kebab-case`` flag.  ``mu_s`` is a
+    comma list, and ``None`` means the command's own default.
+    """
+
+    mu_s: tuple[float, ...] | None = _option(
+        None, "signal intensity; a comma list sets the grid for optimize/sweep",
+        metavar="MU[,MU...]")
+    mu_b: float = _option(2.0e5, "reference pulse intensity")
+    length_km: float = _option(146.0, "fiber length")
+    loss_db_km: float = _option(DEFAULT_LOSS_DB_PER_KM, "fiber loss per km")
+    eta_d: float = _option(GYS_DETECTOR.eta_d, "detector efficiency")
+    y0: float = _option(GYS_DETECTOR.y0, "dark click probability per gate")
+    e_detector: float = _option(GYS_DETECTOR.e_detector, "misalignment error rate")
+    e_0: float = GYS_DETECTOR.e_0
+    eve_mode: str = _option("none", "eavesdropper policy for mc-validate",
+                            choices=["none", "pns"])
+    suppress_fraction: float = _option(
+        0.0, "single-photon blocking probability under pns")
     forward_multiphoton_lossless: bool = True
-    n_pulses: int = 1_000_000
-    seed: int = 12345
+    n_pulses: int = _option(1_000_000, "Monte Carlo pulses")
+    seed: int = _option(12345, "Monte Carlo seed")
     source_intensity: float = 8.0e5
     alice_split_long: float = 0.5
     bob_split_long: float = 0.5
@@ -80,34 +100,11 @@ class ExperimentConfig:
     p_afterpulse: float = 0.008
 
 
-# detector presets: the long-haul benchmark detector and a noiseless one
-_PRESETS: dict[str, dict[str, object]] = {
-    "gys2004": {},
-    "ideal": {"preset": "ideal", "eta_d": 1.0, "y0": 0.0, "e_detector": 0.0},
-}
+_KEY_TYPES = get_type_hints(ExperimentConfig)
+_FLAG_FIELDS = tuple(f for f in fields(ExperimentConfig) if "help" in f.metadata)
 
-# config file keys and how to parse their values
-_FILE_KEY_TYPES: dict[str, type] = {
-    "mu_b": float,
-    "length_km": float,
-    "loss_db_km": float,
-    "eta_d": float,
-    "y0": float,
-    "e_detector": float,
-    "e_0": float,
-    "eve_mode": str,
-    "suppress_fraction": float,
-    "forward_multiphoton_lossless": bool,
-    "n_pulses": int,
-    "seed": int,
-    "source_intensity": float,
-    "alice_split_long": float,
-    "bob_split_long": float,
-    "alice_attenuation_db": float,
-    "bob_attenuation_db": float,
-    "switch_crosstalk_db": float,
-    "p_afterpulse": float,
-}
+# detector presets: the long-haul benchmark detector and a noiseless one
+_PRESETS: dict[str, DetectorParams] = {"gys2004": GYS_DETECTOR, "ideal": IDEAL_DETECTOR}
 
 
 def format_number(value: float) -> str:
@@ -210,55 +207,46 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
+def _parse_key(key: str, raw: str) -> object:
+    if key == "mu_s":
+        return _parse_mu_list(raw)
+    kind = _KEY_TYPES[key]
+    if kind is bool:
+        return _parse_bool(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise UsageError(
+            f"bad value for config key {key!r}: {raw!r} (expected {kind.__name__})"
+        ) from None
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     file_pairs = _read_config_file(args.config) if args.config else {}
 
-    preset = args.preset or file_pairs.pop("preset", None) or "gys2004"
-    if preset not in _PRESETS:
-        raise UsageError(f"unknown preset {preset!r} (choices: {', '.join(sorted(_PRESETS))})")
-    config = ExperimentConfig(**_PRESETS[preset])
+    # a file preset is checked even where --preset (checked by argparse) overrides it
+    file_preset = file_pairs.pop("preset", "") or "gys2004"
+    if file_preset not in _PRESETS:
+        raise UsageError(
+            f"unknown preset {file_preset!r} (choices: {', '.join(sorted(_PRESETS))})"
+        )
+    config = ExperimentConfig(**asdict(_PRESETS[args.preset or file_preset]))
 
     for key, raw in file_pairs.items():
-        if key == "mu_s":
-            config.mu_s_values = _parse_mu_list(raw)
-            config.mu_s_set = True
-            continue
-        if key not in _FILE_KEY_TYPES:
+        if key not in _KEY_TYPES:
             raise UsageError(f"unknown config key {key!r} in {args.config}")
-        kind = _FILE_KEY_TYPES[key]
-        try:
-            if kind is bool:
-                value: object = _parse_bool(raw)
-            else:
-                value = kind(raw)
-        except ValueError:
-            raise UsageError(
-                f"bad value for config key {key!r}: {raw!r} (expected {kind.__name__})"
-            ) from None
-        setattr(config, key, value)
-
-    if config.eve_mode not in ("none", "pns"):
-        raise UsageError(f"eve_mode must be 'none' or 'pns', got {config.eve_mode!r}")
+        setattr(config, key, _parse_key(key, raw))
+    for f in _FLAG_FIELDS:
+        choices = f.metadata.get("choices")
+        value = getattr(config, f.name)
+        if choices and value not in choices:
+            raise UsageError(f"{f.name} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
     # command line flags win over everything
-    if args.mu_s is not None:
-        config.mu_s_values = _parse_mu_list(args.mu_s)
-        config.mu_s_set = True
-    for name in (
-        "mu_b",
-        "length_km",
-        "loss_db_km",
-        "eta_d",
-        "y0",
-        "e_detector",
-        "eve_mode",
-        "suppress_fraction",
-        "n_pulses",
-        "seed",
-    ):
-        value = getattr(args, name)
+    for f in _FLAG_FIELDS:
+        value = getattr(args, f.name)
         if value is not None:
-            setattr(config, name, value)
+            setattr(config, f.name, _parse_mu_list(value) if f.name == "mu_s" else value)
     return config
 
 
@@ -272,11 +260,14 @@ def _detector(config: ExperimentConfig) -> DetectorParams:
 
 
 def _single_mu(config: ExperimentConfig, command: str) -> float:
-    if len(config.mu_s_values) != 1:
-        raise UsageError(f"{command} takes a single --mu-s value, got {len(config.mu_s_values)}")
-    return config.mu_s_values[0]
+    if config.mu_s is None:
+        return _SINGLE_MU_S
+    if len(config.mu_s) != 1:
+        raise UsageError(f"{command} takes a single --mu-s value, got {len(config.mu_s)}")
+    return config.mu_s[0]
 
 
+_SINGLE_MU_S = 0.5
 _OPTIMIZE_GRID = tuple(i / 20 for i in range(2, 21))  # 0.10, 0.15, ..., 1.00
 _SWEEP_MU_GRID = tuple(i / 10 for i in range(1, 11))  # 0.1, 0.2, ..., 1.0
 _SWEEP_LENGTHS = tuple(float(length) for length in range(0, 201))
@@ -300,7 +291,7 @@ def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    grid = config.mu_s_values if config.mu_s_set else _OPTIMIZE_GRID
+    grid = config.mu_s or _OPTIMIZE_GRID
     det = _detector(config)
     best = optimal_signal_intensity(det, config.loss_db_km, grid)
     channel = ChannelParams(length_km=best.distance_km, loss_db_per_km=config.loss_db_km)
@@ -320,7 +311,7 @@ def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     det = _detector(config)
-    mu_values = config.mu_s_values if config.mu_s_set else _SWEEP_MU_GRID
+    mu_values = config.mu_s or _SWEEP_MU_GRID
     records: list[dict[str, object]]
     if args.axis == "distance":
         grid = SweepGrid(
@@ -426,21 +417,10 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("shared options")
     group.add_argument("--preset", choices=sorted(_PRESETS), help="parameter preset")
     group.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    group.add_argument("--mu-s", dest="mu_s", metavar="MU[,MU...]",
-                       help="signal intensity; a comma list sets the grid for optimize/sweep")
-    group.add_argument("--mu-b", dest="mu_b", type=float, help="reference pulse intensity")
-    group.add_argument("--length-km", dest="length_km", type=float, help="fiber length")
-    group.add_argument("--loss-db-km", dest="loss_db_km", type=float, help="fiber loss per km")
-    group.add_argument("--eta-d", dest="eta_d", type=float, help="detector efficiency")
-    group.add_argument("--y0", type=float, help="dark click probability per gate")
-    group.add_argument("--e-detector", dest="e_detector", type=float,
-                       help="misalignment error rate")
-    group.add_argument("--eve-mode", dest="eve_mode", choices=["none", "pns"],
-                       help="eavesdropper policy for mc-validate")
-    group.add_argument("--suppress-fraction", dest="suppress_fraction", type=float,
-                       help="single-photon blocking probability under pns")
-    group.add_argument("--n-pulses", dest="n_pulses", type=int, help="Monte Carlo pulses")
-    group.add_argument("--seed", type=int, help="Monte Carlo seed")
+    for f in _FLAG_FIELDS:
+        kind = _KEY_TYPES[f.name]
+        group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=kind if kind in (float, int) else None, **f.metadata)
     group.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     group.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ChannelParams, DetectorParams, SourceParams
-from .photon_stats import brp_empty_prob, channel_transmittance, poisson_pmf
+from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
 from .security import UndefinedPointError, bob_error_rate, yields
 
 __all__ = [
@@ -327,7 +327,7 @@ def _photon_clicks(rng, n_emitted, blocked, eta_total, eta_forward, scratch):
 def _block_counts(config: McConfig, block_index: int, size: int) -> McCounts:
     rng = derive_stream(config.seed, block_index)
     det = config.det
-    eta_total = channel_transmittance(config.channel) * det.eta_d
+    eta_total = total_efficiency(config.channel, det)
     pns = config.eve.mode == "pns"
     suppress = config.eve.suppress_fraction if pns else 0.0
     forward = pns and config.eve.forward_multiphoton_lossless
@@ -523,7 +523,7 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
     error targets do not apply under an active eavesdropper).
     """
     counts = result.counts
-    eta_total = channel_transmittance(config.channel) * config.det.eta_d
+    eta_total = total_efficiency(config.channel, config.det)
     g_b0 = brp_empty_prob(config.source.mu_b, eta_total)
 
     def row(name: str, estimate: float, target: float, count: int, trials: int,

@@ -15,14 +15,15 @@ plus a plain grid :func:`sweep` for plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, make_dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams
-from .photon_stats import brp_empty_prob, channel_transmittance, poisson_pmf, transmittance
+from .params import DEFAULT_LOSS_DB_PER_KM, ChannelParams, DetectorParams, SourceParams
+from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency, transmittance
 from .security import (
+    SecurityReport,
     _report,
     binary_entropy,
     eve_info_single,
@@ -114,13 +115,11 @@ class DisturbanceBound(NamedTuple):
 def secure_distance(
     mu_s: float,
     det: DetectorParams,
-    loss_db_per_km: float = 0.21,
-    *,
-    scan_cap_km: float = SCAN_CAP_KM,
+    loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM,
 ) -> SecureDistance:
     """Longest span (km) at which the security margin stays positive.
 
-    Scans the margin on a 1 km grid up to ``scan_cap_km`` in one array
+    Scans the margin on a 1 km grid up to :data:`SCAN_CAP_KM` in one array
     call (:func:`brpqkd.security.security_margin`), then bisects the sign
     change down to 0.01 km with scalar
     :func:`brpqkd.security.evaluate_point` and returns the largest length
@@ -130,7 +129,7 @@ def secure_distance(
     :class:`MultipleCrossingsError` listing every crossing bracket.
     """
     source = SourceParams(mu_s=mu_s)
-    cap = ChannelParams(length_km=scan_cap_km, loss_db_per_km=loss_db_per_km)
+    cap = ChannelParams(length_km=SCAN_CAP_KM, loss_db_per_km=loss_db_per_km)
 
     def margin(length_km: float) -> float:
         channel = ChannelParams(length_km=length_km, loss_db_per_km=loss_db_per_km)
@@ -262,12 +261,12 @@ def brp_intensity_bound(
     and constrains nothing, so the bound collapses to zero.
     """
     mu_s = float(mu_s)
-    if mu_s <= 0.0:
+    if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0, got {mu_s}")
     budget = float(budget)
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError(f"suppression budget must be > 0, got {budget}")
-    eta_total = channel_transmittance(channel) * det.eta_d
+    eta_total = total_efficiency(channel, det)
     if eta_total <= 0.0:
         raise ValueError("total efficiency is zero; no intensity can be monitored")
 
@@ -304,7 +303,7 @@ def disturbance_tradeoff(
         d_prime = 0.5 - math.sqrt(d * (1.0 - d))
         return i_ab, 1.0 - binary_entropy(d_prime)
     mu_s = float(mu_s)
-    if mu_s <= 0.0:
+    if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0, got {mu_s}")
     i_ae_multi = -math.expm1(-mu_s)
     return i_ab, i_ae_multi + eve_info_single(mu_s, d)
@@ -345,7 +344,7 @@ class SweepGrid:
     mu_s_values: tuple[float, ...]
     length_values_km: tuple[float, ...]
     det: DetectorParams
-    loss_db_per_km: float = 0.21
+    loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
 
     def __post_init__(self) -> None:
         for name in ("mu_s_values", "length_values_km"):
@@ -357,26 +356,15 @@ class SweepGrid:
             object.__setattr__(self, name, values)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """One grid point: the coordinates plus the flattened security report."""
-
-    mu_s: float
-    length_km: float
-    y_exp: float
-    y_1: float
-    d_bob: float
-    d_eve: float
-    i_ab: float
-    i_ae_multi: float
-    i_ae_single: float
-    i_ae: float
-    r_bob: float
-    r_eve: float
-    r_s: float
-    secure: bool
-    d_bob_clamped: bool
-    d_eve_clamped: bool
+SweepRow = make_dataclass(
+    "SweepRow",
+    [("mu_s", "float"), ("length_km", "float"),
+     *((f.name, f.type) for f in fields(SecurityReport))],
+    frozen=True,
+    slots=True,
+)
+SweepRow.__module__ = __name__
+SweepRow.__doc__ = """One grid point: the coordinates plus the flattened security report."""
 
 
 def sweep(grid: SweepGrid) -> list[SweepRow]:

@@ -105,8 +105,9 @@ class DetectorParams:
         Intrinsic misalignment error: probability that a photon-caused
         click lands in the wrong detector.
     e_0:
-        Error weight of a dark click.  A dark count carries no signal
-        correlation, so it errs half the time; fixed at 1/2.
+        Error probability of a click with no signal correlation (a dark
+        click).  Such a click lands in either detector at random, so it
+        errs half the time: 1/2 by default.
     """
 
     eta_d: float

@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import operator
 
-from .params import ChannelParams
+from .params import ChannelParams, DetectorParams
 
 __all__ = [
     "poisson_pmf",
     "detect_prob",
     "transmittance",
     "channel_transmittance",
+    "total_efficiency",
     "brp_empty_prob",
 ]
 
@@ -80,6 +81,14 @@ def transmittance(length_km, loss_db_per_km):
 def channel_transmittance(channel: ChannelParams) -> float:
     """Power transmittance of a fiber span, ``10^(-loss_db_per_km * L / 10)``."""
     return transmittance(channel.length_km, channel.loss_db_per_km)
+
+
+def total_efficiency(channel: ChannelParams, det: DetectorParams) -> float:
+    """Probability that a photon entering the fiber clicks the detector.
+
+    The fiber transmittance times the detection efficiency ``det.eta_d``.
+    """
+    return channel_transmittance(channel) * det.eta_d
 
 
 def brp_empty_prob(mu_b: float, eta_total: float) -> float:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .params import ChannelParams, DetectorParams, SourceParams
-from .photon_stats import channel_transmittance
+from .photon_stats import total_efficiency
 
 __all__ = [
     "UndefinedPointError",
@@ -130,7 +130,7 @@ def eve_error_rate(mu_s: float, d: float) -> float:
     would overflow, any ``d > 0`` is clamped.
     """
     mu_s = float(mu_s)
-    if mu_s <= 0.0:
+    if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0 to carry single-photon pulses, got {mu_s}")
     d = float(d)
     if not 0.0 <= d <= 1.0:
@@ -161,8 +161,7 @@ def bob_error_rate(
     ``(e_0 * y0 + e_detector * y_exp) / y_exp``, clamped to [0, 1/2].
     Raises :class:`UndefinedPointError` where no clicks are expected.
     """
-    eta_total = channel_transmittance(channel) * det.eta_d
-    return _report(source.mu_s, eta_total, det)[2]
+    return _report(source.mu_s, total_efficiency(channel, det), det)[2]
 
 
 def _clamp_half(raw: float) -> tuple[float, bool]:
@@ -213,8 +212,7 @@ def evaluate_point(
     The point is secure iff the sifted information rate of the receiver
     strictly exceeds the eavesdropper bound, ``r_s > 0``.
     """
-    eta_total = channel_transmittance(channel) * det.eta_d
-    return SecurityReport(*_report(source.mu_s, eta_total, det))
+    return SecurityReport(*_report(source.mu_s, total_efficiency(channel, det), det))
 
 
 def _report(mu_s: float, eta_total: float, det: DetectorParams) -> tuple:

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from brpqkd import cli
+from brpqkd import cli, linkbudget, security
 from brpqkd.cli import format_number, main
 
 
@@ -318,3 +320,168 @@ def test_json_never_prints_a_non_finite_number(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every config-file key, a non-default value for it, and where the value shows up
+# in the library calls a command makes (see _calls)
+_CONFIG_KEYS = {
+    "mu_s": ("0.37", 0.37, lambda calls: calls["evaluate"][0].mu_s),
+    "mu_b": ("1234.5", 1234.5, lambda calls: calls["evaluate"][0].mu_b),
+    "length_km": ("12.5", 12.5, lambda calls: calls["evaluate"][1].length_km),
+    "loss_db_km": ("0.19", 0.19, lambda calls: calls["evaluate"][1].loss_db_per_km),
+    "eta_d": ("0.5", 0.5, lambda calls: calls["evaluate"][2].eta_d),
+    "y0": ("2e-5", 2e-5, lambda calls: calls["evaluate"][2].y0),
+    "e_detector": ("0.02", 0.02, lambda calls: calls["evaluate"][2].e_detector),
+    "e_0": ("0.4", 0.4, lambda calls: calls["evaluate"][2].e_0),
+    "eve_mode": ("pns", "pns", lambda calls: calls["mc"][-1].eve.mode),
+    "suppress_fraction": ("0.25", 0.25, lambda calls: calls["mc"][-1].eve.suppress_fraction),
+    "forward_multiphoton_lossless": (
+        "false", False, lambda calls: calls["mc"][-1].eve.forward_multiphoton_lossless),
+    "n_pulses": ("20000", 20000, lambda calls: calls["mc"][0].n_pulses),
+    "seed": ("99", 99, lambda calls: calls["mc"][0].seed),
+    "source_intensity": ("7e5", 7e5, lambda calls: calls["chain"].source_intensity),
+    "alice_split_long": ("0.6", (0.6, 0.4), lambda calls: calls["chain"].alice_split_ratio),
+    "bob_split_long": ("0.75", (0.75, 0.25), lambda calls: calls["chain"].bob_split_ratio),
+    "alice_attenuation_db": ("50", 50.0, lambda calls: calls["chain"].alice_attenuation_db),
+    "bob_attenuation_db": ("51", 51.0, lambda calls: calls["chain"].bob_attenuation_db),
+    "switch_crosstalk_db": ("22", 22.0, lambda calls: calls["chain"].switch_crosstalk_db),
+    "p_afterpulse": ("0.01", 0.01, lambda calls: calls["afterpulse"]),
+}
+
+
+def _calls(monkeypatch, capsys, *argv):
+    """Run evaluate, mc-validate and budget with ``argv``; record their library calls.
+
+    The Monte Carlo is stubbed out, so only the configs it would run are kept.
+    """
+    calls = {"mc": []}
+
+    def evaluate(source, channel, det):
+        calls["evaluate"] = (source, channel, det)
+        return security.evaluate_point(source, channel, det)
+
+    def propagate(chain):
+        calls["chain"] = chain
+        return linkbudget.propagate(chain)
+
+    def afterpulse(p):
+        calls["afterpulse"] = p
+        return 0.0
+
+    def simulate(config, *args, **kwargs):
+        calls["mc"].append(config)
+
+    monkeypatch.setattr(cli, "evaluate_point", evaluate)
+    monkeypatch.setattr(cli, "propagate", propagate)
+    monkeypatch.setattr(cli, "afterpulse_error", afterpulse)
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(cli, "simulate_attack", simulate)
+    monkeypatch.setattr(cli, "compare_with_model", lambda config, result: [])
+    for command in ("evaluate", "mc-validate", "budget"):
+        code, out, err = _run(capsys, command, *argv)
+        assert code in (0, 3), (command, err)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_every_config_key_reaches_the_command(monkeypatch, capsys, tmp_path, key):
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{name} = {raw}\n" for name, (raw, _, _) in _CONFIG_KEYS.items()))
+    calls = _calls(monkeypatch, capsys, "--config", str(config))
+    _, expected, read = _CONFIG_KEYS[key]
+    assert read(calls) == expected
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("yes", True), ("off", False), ("1", True), ("0", False), (" True ", True), ("no", False),
+])
+def test_config_bool_spellings(monkeypatch, capsys, tmp_path, raw, expected):
+    config = tmp_path / "bool.cfg"
+    config.write_text(f"eve_mode = pns\nforward_multiphoton_lossless = {raw}\n")
+    calls = _calls(monkeypatch, capsys, "--config", str(config))
+    assert calls["mc"][-1].eve.forward_multiphoton_lossless is expected
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mu_b = abc", "error: bad value for config key 'mu_b': 'abc' (expected float)\n"),
+    ("n_pulses = 1.5", "error: bad value for config key 'n_pulses': '1.5' (expected int)\n"),
+    ("forward_multiphoton_lossless = maybe", "error: expected a boolean, got 'maybe'\n"),
+    ("eve_mode = mitm", "error: eve_mode must be 'none' or 'pns', got 'mitm'\n"),
+    ("preset = bogus", "error: unknown preset 'bogus' (choices: gys2004, ideal)\n"),
+    ("mu_s = 0.5,x", "error: bad --mu-s value '0.5,x': could not convert string to float: 'x'\n"),
+])
+def test_bad_config_values_exit_2_with_their_message(capsys, tmp_path, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    code, out, err = _run(capsys, "evaluate", "--config", str(config))
+    assert (code, out, err) == (2, "", message)
+
+
+# flag, the config key it overrides, a file value and a flag value
+_FLAG_OVERRIDES = [
+    ("--mu-s", "mu_s", "0.2", "0.3"),
+    ("--mu-b", "mu_b", "100", "200"),
+    ("--length-km", "length_km", "10", "20"),
+    ("--loss-db-km", "loss_db_km", "0.17", "0.25"),
+    ("--eta-d", "eta_d", "0.1", "0.2"),
+    ("--y0", "y0", "1e-5", "3e-5"),
+    ("--e-detector", "e_detector", "0.01", "0.04"),
+    ("--eve-mode", "eve_mode", "none", "pns"),
+    ("--suppress-fraction", "suppress_fraction", "0.1", "0.9"),
+    ("--n-pulses", "n_pulses", "30000", "40000"),
+    ("--seed", "seed", "5", "6"),
+]
+
+
+@pytest.mark.parametrize("flag, key, file_value, flag_value", _FLAG_OVERRIDES)
+def test_flags_win_over_the_config_file(monkeypatch, capsys, tmp_path,
+                                        flag, key, file_value, flag_value):
+    config = tmp_path / "run.cfg"
+    base = {name: raw for name, (raw, _, _) in _CONFIG_KEYS.items()}
+    config.write_text("".join(
+        f"{name} = {file_value if name == key else raw}\n" for name, raw in base.items()
+    ))
+    read = _CONFIG_KEYS[key][2]
+    from_file = read(_calls(monkeypatch, capsys, "--config", str(config)))
+    from_flag = read(_calls(monkeypatch, capsys, "--config", str(config), flag, flag_value))
+    parse = str if key == "eve_mode" else type(_CONFIG_KEYS[key][1])
+    assert (from_file, from_flag) == (parse(file_value), parse(flag_value))
+
+
+def test_config_file_wins_over_the_preset(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("eta_d = 0.5\n")
+    calls = _calls(monkeypatch, capsys, "--preset", "ideal", "--config", str(config))
+    assert calls["evaluate"][2] == cli.DetectorParams(eta_d=0.5, y0=0.0, e_detector=0.0)
+
+
+def test_config_keys_are_the_config_fields():
+    assert list(_CONFIG_KEYS) == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+
+
+def test_preset_flag_overrides_a_config_file_preset(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "p.cfg"
+    config.write_text("preset = ideal\n")
+    code, out, err = _run(capsys, "evaluate", "--config", str(config), "--preset", "gys2004")
+    assert (code, err) == (0, "")
+    from_file = _calls(monkeypatch, capsys, "--config", str(config))
+    from_flag = _calls(monkeypatch, capsys, "--config", str(config), "--preset", "gys2004")
+    assert from_file["evaluate"][2] == cli.IDEAL_DETECTOR
+    assert from_flag["evaluate"][2] == cli.GYS_DETECTOR
+    config.write_text("preset = bogus\n")
+    code, out, err = _run(capsys, "evaluate", "--config", str(config), "--preset", "ideal")
+    assert (code, out) == (2, "")
+    assert "unknown preset 'bogus'" in err
+
+
+def test_readme_names_every_config_key_and_flag(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for f in dataclasses.fields(cli.ExperimentConfig):
+        assert f"`{f.name}`" in readme, f.name
+    for command in ("evaluate", "optimize", "sweep", "mc-validate", "budget"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) - {"--help"}
+        assert flags
+        for flag in flags:
+            assert f"`{flag}" in readme, flag

@@ -1,6 +1,7 @@
 """Searches and sweeps: reach, working point, reference-pulse floor, disturbance."""
 
 import math
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -23,6 +24,8 @@ from brpqkd import (
     disturbance_bound,
     disturbance_tradeoff,
     evaluate_point,
+    eve_error_rate,
+    eve_info_single,
     optimal_signal_intensity,
     secure_distance,
     sweep,
@@ -340,6 +343,29 @@ def test_sweep_rows_equal_evaluate_point_bitwise(loss):
                 report = evaluate_point(source, channel, det)
                 assert next(rows) == SweepRow(mu_s, length, *astuple(report))
         assert next(rows, None) is None
+
+
+def test_sweep_rows_pickle():
+    rows = sweep(SweepGrid((0.5,), (0.0, 100.0), GYS_DETECTOR))
+    assert pickle.loads(pickle.dumps(rows)) == rows
+
+
+_NAN = float("nan")
+_LINK = ChannelParams(length_km=50.0)
+
+
+@pytest.mark.parametrize("call, blamed", [
+    (lambda: disturbance_bound(_NAN), "mu_s"),
+    (lambda: disturbance_tradeoff(_NAN, 0.1), "mu_s"),
+    (lambda: eve_error_rate(_NAN, 0.1), "mu_s"),
+    (lambda: eve_info_single(_NAN, 0.1), "mu_s"),
+    (lambda: brp_intensity_bound(_NAN, _LINK, GYS_DETECTOR), "mu_s"),
+    (lambda: brp_intensity_bound(0.5, _LINK, GYS_DETECTOR, budget=_NAN), "budget"),
+], ids=["disturbance_bound", "disturbance_tradeoff", "eve_error_rate", "eve_info_single",
+        "brp_intensity_bound-mu_s", "brp_intensity_bound-budget"])
+def test_nan_intensity_or_budget_is_rejected(call, blamed):
+    with pytest.raises(ValueError, match=blamed):
+        call()
 
 
 def _raised(call):
