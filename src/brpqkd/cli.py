@@ -25,7 +25,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .linkbudget import OpticalChain, afterpulse_error, crosstalk_false_click, propagate
+from .linkbudget import (
+    LinkBudgetReport,
+    OpticalChain,
+    afterpulse_error,
+    crosstalk_false_click,
+    propagate,
+)
 from .montecarlo import EvePolicy, McConfig, compare_with_model, simulate, simulate_attack
 from .optimize import (
     IDEAL_SOURCE,
@@ -72,6 +78,12 @@ class ExperimentConfig:
     Each field is a config-file key, parsed by its annotated type; a
     field with help text is also a ``--kebab-case`` flag.  ``mu_s`` is a
     comma list, and ``None`` means the command's own default.
+
+    ``forward_multiphoton_lossless`` defaults to ``True``, the canonical
+    splitting attack, while the library's ``montecarlo.EvePolicy``
+    defaults to ``False``.  The difference is deliberate: the golden
+    ``mc-validate --eve-mode pns`` output pins the CLI's ``True``, and
+    only a policy without forwarding replays the honest stream exactly.
     """
 
     mu_s: tuple[float, ...] | None = _option(
@@ -251,12 +263,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _detector(config: ExperimentConfig) -> DetectorParams:
-    return DetectorParams(
-        eta_d=config.eta_d,
-        y0=config.y0,
-        e_detector=config.e_detector,
-        e_0=config.e_0,
-    )
+    return DetectorParams(**{f.name: getattr(config, f.name) for f in fields(DetectorParams)})
+
+
+def _channel(config: ExperimentConfig) -> ChannelParams:
+    return ChannelParams(length_km=config.length_km, loss_db_per_km=config.loss_db_km)
 
 
 def _single_mu(config: ExperimentConfig, command: str) -> float:
@@ -277,8 +288,7 @@ _DISTURBANCE_GRID = tuple(i / 400 for i in range(0, 101))  # 0 .. 0.25
 def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     mu_s = _single_mu(config, "evaluate")
     source = SourceParams(mu_s=mu_s, mu_b=config.mu_b)
-    channel = ChannelParams(length_km=config.length_km, loss_db_per_km=config.loss_db_km)
-    report = evaluate_point(source, channel, _detector(config))
+    report = evaluate_point(source, _channel(config), _detector(config))
     record: dict[str, object] = {
         "mu_s": mu_s,
         "mu_b": config.mu_b,
@@ -349,7 +359,7 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
     base = McConfig(
         n_pulses=config.n_pulses,
         source=SourceParams(mu_s=mu_s, mu_b=config.mu_b),
-        channel=ChannelParams(length_km=config.length_km, loss_db_per_km=config.loss_db_km),
+        channel=_channel(config),
         det=_detector(config),
         seed=config.seed,
     )
@@ -386,7 +396,7 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> int:
     chain = OpticalChain(
         source_intensity=config.source_intensity,
-        channel=ChannelParams(length_km=config.length_km, loss_db_per_km=config.loss_db_km),
+        channel=_channel(config),
         alice_split_ratio=(config.alice_split_long, 1.0 - config.alice_split_long),
         bob_split_ratio=(config.bob_split_long, 1.0 - config.bob_split_long),
         alice_attenuation_db=config.alice_attenuation_db,
@@ -394,21 +404,18 @@ def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> int:
         switch_crosstalk_db=config.switch_crosstalk_db,
     )
     report = propagate(chain)
-    record = {
+    record: dict[str, object] = {
         "source_intensity": chain.source_intensity,
         "length_km": config.length_km,
-        "brp_at_alice": report.brp_at_alice,
-        "signal_at_alice": report.signal_at_alice,
-        "brp_at_bob": report.brp_at_bob,
-        "signal_at_bob": report.signal_at_bob,
-        "dim_at_bob": report.dim_at_bob,
-        "switch_leak_at_signal_detector": report.switch_leak_at_signal_detector,
-        "afterpulse_probability": config.p_afterpulse,
-        "afterpulse_error": afterpulse_error(config.p_afterpulse),
-        "crosstalk_false_click": crosstalk_false_click(
+    }
+    record.update((f.name, getattr(report, f.name)) for f in fields(LinkBudgetReport))
+    record.update(
+        afterpulse_probability=config.p_afterpulse,
+        afterpulse_error=afterpulse_error(config.p_afterpulse),
+        crosstalk_false_click=crosstalk_false_click(
             report.switch_leak_at_signal_detector, config.eta_d
         ),
-    }
+    )
     _emit(_render([record], args.fmt or "json"), args.out)
     return EXIT_OK
 

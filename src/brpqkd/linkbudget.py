@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ChannelParams
+from .params import ChannelParams, _check_probability
 from .photon_stats import channel_transmittance
 
 __all__ = [
@@ -118,10 +118,7 @@ def afterpulse_error(p_afterpulse: float) -> float:
     An afterpulse is uncorrelated with the encoded bit, so it errs half
     the time: the contribution is ``p_afterpulse / 2``.
     """
-    p_afterpulse = float(p_afterpulse)
-    if not 0.0 <= p_afterpulse <= 1.0:
-        raise ValueError(f"afterpulse probability must lie in [0, 1], got {p_afterpulse}")
-    return 0.5 * p_afterpulse
+    return 0.5 * _check_probability("afterpulse probability", p_afterpulse)
 
 
 def crosstalk_false_click(leak_intensity: float, eta_d: float) -> float:
@@ -129,7 +126,5 @@ def crosstalk_false_click(leak_intensity: float, eta_d: float) -> float:
     leak_intensity = float(leak_intensity)
     if not math.isfinite(leak_intensity) or leak_intensity < 0.0:
         raise ValueError(f"leak intensity must be >= 0, got {leak_intensity}")
-    eta_d = float(eta_d)
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
+    eta_d = _check_probability("eta_d", eta_d)
     return -math.expm1(-eta_d * leak_intensity)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams
+from .params import ChannelParams, DetectorParams, SourceParams, _check_probability
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
 from .security import UndefinedPointError, bob_error_rate, yields
 
@@ -83,6 +83,11 @@ class EvePolicy:
     lossy channel by a perfect one for the photon Eve forwards out of
     every multi-photon pulse (the canonical splitting attack).
     Meaningful only when ``mode="pns"``.
+
+    ``forward_multiphoton_lossless`` defaults to ``False`` here, so that
+    ``EvePolicy(mode="pns")`` with nothing suppressed is a null attack
+    that replays the honest stream.  The CLI's ``ExperimentConfig``
+    defaults it to ``True``, the canonical attack, on purpose.
     """
 
     mode: str = "none"
@@ -92,11 +97,10 @@ class EvePolicy:
     def __post_init__(self) -> None:
         if self.mode not in _EVE_MODES:
             raise ValueError(f"eve mode must be one of {_EVE_MODES}, got {self.mode!r}")
-        if not 0.0 <= float(self.suppress_fraction) <= 1.0:
-            raise ValueError(
-                f"suppress_fraction must lie in [0, 1], got {self.suppress_fraction}"
-            )
-        object.__setattr__(self, "suppress_fraction", float(self.suppress_fraction))
+        object.__setattr__(
+            self, "suppress_fraction",
+            _check_probability("suppress_fraction", self.suppress_fraction),
+        )
 
 
 @dataclass(frozen=True)

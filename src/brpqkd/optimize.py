@@ -20,14 +20,19 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .params import DEFAULT_LOSS_DB_PER_KM, ChannelParams, DetectorParams, SourceParams
+from .params import (
+    DEFAULT_LOSS_DB_PER_KM,
+    ChannelParams,
+    DetectorParams,
+    SourceParams,
+    _check_probability,
+)
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency, transmittance
 from .security import (
     SecurityReport,
+    _eve_info_single,
     _report,
-    binary_entropy,
     eve_info_single,
-    evaluate_point,
     mutual_info_ab,
     security_margin,
 )
@@ -121,24 +126,21 @@ def secure_distance(
 
     Scans the margin on a 1 km grid up to :data:`SCAN_CAP_KM` in one array
     call (:func:`brpqkd.security.security_margin`), then bisects the sign
-    change down to 0.01 km with scalar
-    :func:`brpqkd.security.evaluate_point` and returns the largest length
-    that evaluated secure there.  A margin that never goes negative
+    change down to 0.01 km with the scalar instance of the same formulas
+    (the kernel behind :func:`brpqkd.security.evaluate_point`) and
+    returns the largest length that evaluated secure there.  Inputs are
+    validated once, on entry.  A margin that never goes negative
     returns the cap with ``unbounded=True``; one that is never positive
     returns 0.  A margin with several sign changes on the grid raises
     :class:`MultipleCrossingsError` listing every crossing bracket.
     """
-    source = SourceParams(mu_s=mu_s)
+    mu_s = SourceParams(mu_s=mu_s).mu_s
     cap = ChannelParams(length_km=SCAN_CAP_KM, loss_db_per_km=loss_db_per_km)
-
-    def margin(length_km: float) -> float:
-        channel = ChannelParams(length_km=length_km, loss_db_per_km=loss_db_per_km)
-        return evaluate_point(source, channel, det).r_s
 
     n_steps = int(round(cap.length_km / _COARSE_STEP_KM))
     grid = np.arange(n_steps + 1) * _COARSE_STEP_KM
     eta_total = transmittance(grid, cap.loss_db_per_km) * det.eta_d
-    secure_flags = security_margin(source.mu_s, eta_total, det) > 0.0
+    secure_flags = security_margin(mu_s, eta_total, det) > 0.0
 
     crossings = [
         (float(grid[i]), float(grid[i + 1]))
@@ -155,9 +157,10 @@ def secure_distance(
         raise MultipleCrossingsError(crossings)
 
     lo, hi = crossings[0]
+    # field 11 of the report is `secure`, i.e. r_s > 0
     while hi - lo > _DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
+        if _report(mu_s, transmittance(mid, cap.loss_db_per_km) * det.eta_d, det)[11]:
             lo = mid
         else:
             hi = mid
@@ -293,15 +296,13 @@ def disturbance_tradeoff(
     instead of an intensity models a source emitting exactly one photon
     per pulse (no multi-photon leakage, unit single-photon weight).
     """
-    d = float(d)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"error rate must lie in [0, 1], got {d}")
+    d = _check_probability("error rate", d)
     i_ab = mutual_info_ab(d)
     if isinstance(mu_s, str):
         if mu_s != IDEAL_SOURCE:
             raise ValueError(f"unknown source marker {mu_s!r}")
-        d_prime = 0.5 - math.sqrt(d * (1.0 - d))
-        return i_ab, 1.0 - binary_entropy(d_prime)
+        # unit single-photon weight exp(-0) and the whole error budget, unclamped
+        return i_ab, _eve_info_single(0.0, d)
     mu_s = float(mu_s)
     if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0, got {mu_s}")

@@ -36,9 +36,12 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _check_probability(name: str, value: float) -> None:
+def _check_probability(name: str, value: float) -> float:
+    # NaN fails the comparison, so it is rejected too
+    value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ class DetectorParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_d", "y0", "e_detector", "e_0"):
-            value = _check_finite(name, getattr(self, name))
-            _check_probability(name, value)
+            value = _check_probability(name, _check_finite(name, getattr(self, name)))
             object.__setattr__(self, name, value)
 
 

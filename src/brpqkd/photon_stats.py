@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .params import ChannelParams, DetectorParams
+from .params import ChannelParams, DetectorParams, _check_probability
 
 __all__ = [
     "poisson_pmf",
@@ -56,9 +56,7 @@ def detect_prob(i: int, eta: float) -> float:
     i = operator.index(i)
     if i < 0:
         raise ValueError(f"photon number must be >= 0, got {i}")
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    eta = _check_probability("efficiency", eta)
     if i == 0:
         return 0.0
     if i == 1:
@@ -102,7 +100,5 @@ def brp_empty_prob(mu_b: float, eta_total: float) -> float:
     mu_b = float(mu_b)
     if not math.isfinite(mu_b) or mu_b < 0.0:
         raise ValueError(f"mu_b must be finite and >= 0, got {mu_b}")
-    eta_total = float(eta_total)
-    if not 0.0 <= eta_total <= 1.0:
-        raise ValueError(f"eta_total must lie in [0, 1], got {eta_total}")
+    eta_total = _check_probability("eta_total", eta_total)
     return math.exp(-eta_total * mu_b)

@@ -17,6 +17,13 @@ meaningful at zero distance and unit efficiency.
 
 Sign conventions: all rates are per emitted pulse, and the factor 1/2
 in the information rates is basis sifting.
+
+The formulas are written once, in :func:`_formulas`, over a small ops
+namespace.  Two instances share that body: one over ``math`` is the
+scalar kernel behind :func:`evaluate_point`, :func:`bob_error_rate`,
+the per-term functions and :func:`brpqkd.optimize.sweep`; one over
+numpy is :func:`security_margin`, which evaluates a whole array of
+efficiencies in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams
+from .params import ChannelParams, DetectorParams, SourceParams, _check_probability
 from .photon_stats import total_efficiency
 
 __all__ = [
@@ -69,16 +76,95 @@ class YieldPair(NamedTuple):
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a coin with bias ``x``, in bits."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"expected a probability in [0, 1], got {x}")
-    return _h2(x)
+    return _h2(_check_probability("probability", x))
 
 
 def _h2(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _entropy(x: np.ndarray) -> np.ndarray:
+    # binary_entropy over an array, with 0 log 0 = 0
+    y = 1.0 - x
+    log2_x = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+    log2_y = np.log2(y, out=np.zeros_like(y), where=y > 0.0)
+    return -x * log2_x - y * log2_y
+
+
+def _clamp_half(raw: float) -> tuple[float, bool]:
+    # error rates live in [0, 1/2]; past 1/2 the channel is just noise
+    if raw > 0.5:
+        return 0.5, True
+    return raw, False
+
+
+def _clamp_half_array(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.minimum(raw, 0.5), raw > 0.5
+
+
+def _formulas(expm1, sqrt, h2, clamp_half, any_of, first_of):
+    """The model, written once over a small ops namespace.
+
+    ``mu_s`` is always a float; the efficiency and every rate derived
+    from it are floats for the ``math`` ops and arrays for the numpy
+    ops.  ``any_of(flags)`` tells whether any point is flagged and
+    ``first_of(values, flags)`` picks the value at the first flagged
+    point.  Returns the functions ``(yields, eve_error, info_multi,
+    info_single, report)``; inputs are trusted: ``mu_s >= 0`` and
+    ``eta_total`` in [0, 1].
+    """
+    exp = math.exp  # of the scalar mu_s only, so both instances round alike
+
+    def yields(mu_s, eta_total):
+        return -expm1(-eta_total * mu_s), exp(-mu_s) * mu_s * eta_total
+
+    def eve_error(mu_s, d_bob):
+        if mu_s > _LOG_DBL_MAX:
+            # exp(mu_s) overflows; d_bob * exp(mu_s) then exceeds 1/2 for every d_bob > 0
+            return clamp_half((d_bob > 0.0) * 1.0)
+        return clamp_half(d_bob * exp(mu_s))
+
+    def info_multi(y_exp, y_1):
+        return (y_exp - y_1) / y_exp
+
+    def info_single(mu_s, d_eve):
+        return exp(-mu_s) * (1.0 - h2(0.5 - sqrt(d_eve * (1.0 - d_eve))))
+
+    def report(mu_s, eta_total, det):
+        # the SecurityReport values of the working point(s), in field order
+        y_exp, y_1 = yields(mu_s, eta_total)
+        undefined = y_exp <= 0.0
+        if any_of(undefined):
+            raise UndefinedPointError(
+                f"no expected clicks at mu_s={mu_s}, "
+                f"eta_total={first_of(eta_total, undefined)}"
+            )
+        d_bob, d_bob_clamped = clamp_half((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp)
+        d_eve, d_eve_clamped = eve_error(mu_s, d_bob)
+
+        i_ab = 1.0 - h2(d_bob)
+        i_ae_multi = info_multi(y_exp, y_1)
+        i_ae_single = info_single(mu_s, d_eve)
+        i_ae = i_ae_multi + i_ae_single
+
+        r_bob = 0.5 * y_exp * i_ab
+        r_eve = 0.5 * y_exp * i_ae
+        r_s = r_bob - r_eve
+        return (y_exp, y_1, d_bob, d_eve, i_ab, i_ae_multi, i_ae_single, i_ae,
+                r_bob, r_eve, r_s, r_s > 0.0, d_bob_clamped, d_eve_clamped)
+
+    return yields, eve_error, info_multi, info_single, report
+
+
+_yields, _eve_error_clamped, _eve_info_multi, _eve_info_single, _report = _formulas(
+    math.expm1, math.sqrt, _h2, _clamp_half, bool, lambda eta_total, _: eta_total
+)
+*_, _array_report = _formulas(
+    np.expm1, np.sqrt, _entropy, _clamp_half_array, np.any,
+    lambda eta_total, flags: float(eta_total[np.argmax(flags)]),
+)
 
 
 def mutual_info_ab(d: float) -> float:
@@ -94,14 +180,7 @@ def yields(source: SourceParams, eta_total: float) -> YieldPair:
     contributed by single-photon emissions.  Both are evaluated in forms
     that survive transmittances far below float epsilon.
     """
-    eta_total = float(eta_total)
-    if not 0.0 <= eta_total <= 1.0:
-        raise ValueError(f"eta_total must lie in [0, 1], got {eta_total}")
-    return YieldPair(*_yields(source.mu_s, eta_total))
-
-
-def _yields(mu_s: float, eta_total: float) -> tuple[float, float]:
-    return -math.expm1(-eta_total * mu_s), math.exp(-mu_s) * mu_s * eta_total
+    return YieldPair(*_yields(source.mu_s, _check_probability("eta_total", eta_total)))
 
 
 def eve_info_multi(pair: YieldPair) -> float:
@@ -116,10 +195,6 @@ def eve_info_multi(pair: YieldPair) -> float:
     return _eve_info_multi(*pair)
 
 
-def _eve_info_multi(y_exp: float, y_1: float) -> float:
-    return (y_exp - y_1) / y_exp
-
-
 def eve_error_rate(mu_s: float, d: float) -> float:
     """Error rate Eve may imprint on single-photon pulses while the link observes ``d``.
 
@@ -132,10 +207,7 @@ def eve_error_rate(mu_s: float, d: float) -> float:
     mu_s = float(mu_s)
     if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0 to carry single-photon pulses, got {mu_s}")
-    d = float(d)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"error rate must lie in [0, 1], got {d}")
-    return _eve_error_clamped(mu_s, d)[0]
+    return _eve_error_clamped(mu_s, _check_probability("error rate", d))[0]
 
 
 def eve_info_single(mu_s: float, d: float) -> float:
@@ -148,11 +220,6 @@ def eve_info_single(mu_s: float, d: float) -> float:
     return _eve_info_single(mu_s, eve_error_rate(mu_s, d))
 
 
-def _eve_info_single(mu_s: float, d_eve: float) -> float:
-    d_prime = 0.5 - math.sqrt(d_eve * (1.0 - d_eve))
-    return math.exp(-mu_s) * (1.0 - _h2(d_prime))
-
-
 def bob_error_rate(
     source: SourceParams, channel: ChannelParams, det: DetectorParams
 ) -> float:
@@ -162,20 +229,6 @@ def bob_error_rate(
     Raises :class:`UndefinedPointError` where no clicks are expected.
     """
     return _report(source.mu_s, total_efficiency(channel, det), det)[2]
-
-
-def _clamp_half(raw: float) -> tuple[float, bool]:
-    # error rates live in [0, 1/2]; past 1/2 the channel is just noise
-    if raw > 0.5:
-        return 0.5, True
-    return raw, False
-
-
-def _eve_error_clamped(mu_s: float, d: float) -> tuple[float, bool]:
-    if mu_s > _LOG_DBL_MAX:
-        # exp(mu_s) overflows; d * exp(mu_s) > 1/2 for every normal d > 0
-        return (0.5, True) if d > 0.0 else (0.0, False)
-    return _clamp_half(d * math.exp(mu_s))
 
 
 @dataclass(frozen=True)
@@ -215,64 +268,16 @@ def evaluate_point(
     return SecurityReport(*_report(source.mu_s, total_efficiency(channel, det), det))
 
 
-def _report(mu_s: float, eta_total: float, det: DetectorParams) -> tuple:
-    # the SecurityReport values of one working point, in field order;
-    # inputs are trusted: mu_s >= 0 and eta_total in [0, 1]
-    y_exp, y_1 = _yields(mu_s, eta_total)
-    if y_exp <= 0.0:
-        raise UndefinedPointError(f"no expected clicks at mu_s={mu_s}, eta_total={eta_total}")
-    d_bob, d_bob_clamped = _clamp_half((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp)
-    d_eve, d_eve_clamped = _eve_error_clamped(mu_s, d_bob)
-
-    i_ab = 1.0 - _h2(d_bob)
-    i_ae_multi = _eve_info_multi(y_exp, y_1)
-    i_ae_single = _eve_info_single(mu_s, d_eve)
-    i_ae = i_ae_multi + i_ae_single
-
-    r_bob = 0.5 * y_exp * i_ab
-    r_eve = 0.5 * y_exp * i_ae
-    r_s = r_bob - r_eve
-    return (y_exp, y_1, d_bob, d_eve, i_ab, i_ae_multi, i_ae_single, i_ae,
-            r_bob, r_eve, r_s, r_s > 0.0, d_bob_clamped, d_eve_clamped)
-
-
-def _entropy(x: np.ndarray) -> np.ndarray:
-    # binary_entropy over an array, with 0 log 0 = 0
-    y = 1.0 - x
-    log2_x = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
-    log2_y = np.log2(y, out=np.zeros_like(y), where=y > 0.0)
-    return -x * log2_x - y * log2_y
-
-
 def security_margin(mu_s: float, eta_total: np.ndarray, det: DetectorParams) -> np.ndarray:
     """Security margin ``r_s`` of one signal intensity over an array of total efficiencies.
 
-    The array counterpart of ``evaluate_point(...).r_s``, with the same
-    formulas in the same order, so each value agrees with the scalar
-    path to within a few ulp of ``y_exp / 2`` (numpy and libm may round
-    ``expm1`` and ``log2`` differently).  Inputs are trusted:
-    ``mu_s >= 0`` and ``eta_total`` in [0, 1].  Raises
+    The numpy instance of the formula body behind ``evaluate_point``
+    (the scalar instance), so each value agrees with
+    ``evaluate_point(...).r_s`` to within a few ulp of ``y_exp / 2``:
+    numpy and libm may round ``expm1`` and ``log2`` differently.  Inputs
+    are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].  Raises
     :class:`UndefinedPointError` if any point expects no clicks.
     """
     # results that underflow to zero are intended, as on the scalar path
     with np.errstate(under="ignore"):
-        y_exp = -np.expm1(-eta_total * mu_s)
-        undefined = y_exp <= 0.0
-        if undefined.any():
-            raise UndefinedPointError(
-                f"no expected clicks at mu_s={mu_s}, "
-                f"eta_total={float(eta_total[np.argmax(undefined)])}"
-            )
-        y_1 = math.exp(-mu_s) * mu_s * eta_total
-        d_bob = np.minimum((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp, 0.5)
-        if mu_s > _LOG_DBL_MAX:
-            d_eve = np.where(d_bob > 0.0, 0.5, 0.0)
-        else:
-            d_eve = np.minimum(d_bob * math.exp(mu_s), 0.5)
-        d_prime = 0.5 - np.sqrt(d_eve * (1.0 - d_eve))
-
-        i_ab = 1.0 - _entropy(d_bob)
-        i_ae_multi = (y_exp - y_1) / y_exp
-        i_ae_single = math.exp(-mu_s) * (1.0 - _entropy(d_prime))
-        i_ae = i_ae_multi + i_ae_single
-        return 0.5 * y_exp * i_ab - 0.5 * y_exp * i_ae
+        return _array_report(mu_s, eta_total, det)[10]  # r_s

@@ -12,6 +12,7 @@ import pytest
 
 from brpqkd import cli, linkbudget, security
 from brpqkd.cli import format_number, main
+from brpqkd.montecarlo import EvePolicy
 
 
 def _run(capsys, *argv):
@@ -400,6 +401,15 @@ def test_config_bool_spellings(monkeypatch, capsys, tmp_path, raw, expected):
     config.write_text(f"eve_mode = pns\nforward_multiphoton_lossless = {raw}\n")
     calls = _calls(monkeypatch, capsys, "--config", str(config))
     assert calls["mc"][-1].eve.forward_multiphoton_lossless is expected
+
+
+def test_forward_multiphoton_lossless_defaults_differ_on_purpose(monkeypatch, capsys):
+    # the CLI runs the canonical splitting attack (the pns golden pins it); the
+    # library's EvePolicy keeps a null policy that replays the honest stream
+    assert cli.ExperimentConfig().forward_multiphoton_lossless is True
+    assert EvePolicy(mode="pns").forward_multiphoton_lossless is False
+    calls = _calls(monkeypatch, capsys, "--eve-mode", "pns")
+    assert calls["mc"][-1].eve.forward_multiphoton_lossless is True
 
 
 @pytest.mark.parametrize("line, message", [

@@ -7,14 +7,17 @@ import pytest
 from mpmath import mp
 
 from brpqkd import (
+    IDEAL_SOURCE,
     ChannelParams,
     DetectorParams,
+    EvePolicy,
     GYS_DETECTOR,
     SourceParams,
     UndefinedPointError,
     YieldPair,
     binary_entropy,
     bob_error_rate,
+    disturbance_tradeoff,
     evaluate_point,
     eve_error_rate,
     eve_info_multi,
@@ -22,6 +25,8 @@ from brpqkd import (
     mutual_info_ab,
     yields,
 )
+from brpqkd.linkbudget import afterpulse_error, crosstalk_false_click
+from brpqkd.photon_stats import brp_empty_prob, detect_prob, total_efficiency
 
 mp.dps = 50
 
@@ -310,3 +315,65 @@ def test_evaluate_point_is_total_past_the_exp_overflow():
     assert eve_error_rate(800.0, 0.033) == 0.5
     assert eve_error_rate(800.0, 0.0) == 0.0
     assert eve_info_single(800.0, 0.033) == 0.0
+
+
+def _seeded_points():
+    rng = np.random.default_rng(707)
+    for _ in range(400):
+        det = DetectorParams(
+            eta_d=float(rng.uniform(0.01, 1.0)),
+            y0=float(10.0 ** rng.uniform(-8.0, -3.0)),
+            e_detector=float(rng.uniform(0.0, 0.1)),
+        )
+        mu_s = float(10.0 ** rng.uniform(-3.0, 1.5))
+        length = float(rng.uniform(0.0, 400.0))
+        yield det, mu_s, length
+    for mu_s in (709.78, 709.79, 800.0):
+        yield GYS_DETECTOR, mu_s, 50.0
+
+
+def test_per_term_functions_equal_the_report_bit_for_bit():
+    for det, mu_s, length in _seeded_points():
+        source = SourceParams(mu_s=mu_s)
+        channel = ChannelParams(length_km=length)
+        report = evaluate_point(source, channel, det)
+        eta_total = total_efficiency(channel, det)
+        pair = yields(source, eta_total)
+        assert tuple(pair) == (report.y_exp, report.y_1)
+        assert eve_error_rate(mu_s, report.d_bob) == report.d_eve
+        assert eve_info_single(mu_s, report.d_bob) == report.i_ae_single
+        assert eve_info_multi(pair) == report.i_ae_multi
+        assert bob_error_rate(source, channel, det) == report.d_bob
+    # past the exp overflow every positive error rate clamps, subnormal ones too
+    assert eve_error_rate(800.0, 5e-324) == 0.5
+
+
+def test_ideal_source_tradeoff_is_the_unit_weight_single_photon_bound():
+    # d across the whole [0, 1], including the (1/2, 1] half no clamp reaches
+    ds = [i / 200 for i in range(201)] + [1e-12, 0.5 - 1e-12, 0.5 + 1e-12, 1.0 - 1e-12]
+    for d in ds:
+        i_ab, i_ae = disturbance_tradeoff(IDEAL_SOURCE, d)
+        assert i_ab == mutual_info_ab(d)
+        assert i_ae == 1.0 - binary_entropy(0.5 - math.sqrt(d * (1.0 - d)))
+
+
+@pytest.mark.parametrize("check", [
+    binary_entropy,
+    lambda x: yields(SourceParams(mu_s=0.5), x),
+    lambda x: eve_error_rate(0.5, x),
+    lambda x: disturbance_tradeoff(0.5, x),
+    lambda x: disturbance_tradeoff(IDEAL_SOURCE, x),
+    lambda x: detect_prob(2, x),
+    lambda x: brp_empty_prob(1.0, x),
+    afterpulse_error,
+    lambda x: crosstalk_false_click(1.0, x),
+    lambda x: EvePolicy(mode="pns", suppress_fraction=x),
+], ids=["binary_entropy", "yields", "eve_error_rate", "tradeoff", "tradeoff_ideal",
+        "detect_prob", "brp_empty_prob", "afterpulse_error", "crosstalk", "EvePolicy"])
+def test_every_probability_argument_is_checked(check):
+    for bad in (-0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got "):
+            check(bad)
+    check(0)
+    check(1)
+    check(np.float64(0.25))
