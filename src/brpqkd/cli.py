@@ -22,8 +22,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Sequence, get_type_hints
 
 from .linkbudget import (
     LinkBudgetReport,
@@ -140,18 +141,28 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _column(values: list[object]) -> list[str]:
-    # only floats share the memo: True == 1 == 1.0 would collide, while
-    # equal floats print alike (-0.0 and 0.0 both print "0")
-    memo: dict[float, str] = {}
+def _column(values: Sequence[object]) -> list[str]:
+    # format_number's rule, applied once per run of equal floats (a table
+    # column repeats its coordinates).  The rule is inlined because a call
+    # per cell costs about 5% of the bulk sweep tables' throughput.  Only
+    # floats are compared with the last float, because True == 1 == 1.0
+    # spell differently; -0.0 and 0.0 both print "0".
     texts = []
+    last = text = None
     for value in values:
-        if type(value) is float:
-            text = memo.get(value)
-            if text is None:
-                text = memo[value] = format_number(value)
-        else:
-            text = _cell(value)
+        if type(value) is not float:
+            texts.append(_cell(value))
+            continue
+        if value != last:
+            last = value
+            if value != value:
+                text = "nan"
+            elif value == 0:
+                text = "0"
+            elif -1e-3 < value < 1e-3:
+                text = format(value, ".8e")
+            else:
+                text = format(value, ".9g")
         texts.append(text)
     return texts
 
@@ -162,17 +173,20 @@ def _json_value(value: object) -> object:
     return value
 
 
-def _render(records: list[dict[str, object]], fmt: str) -> str:
+def _render_columns(columns: dict[str, Sequence[object]], fmt: str) -> str:
+    # columns of equal length, one per output field in output order
     if fmt == "json":
-        payload = [
-            {key: _json_value(value) for key, value in record.items()}
-            for record in records
-        ]
+        values = [[_json_value(value) for value in column] for column in columns.values()]
+        payload = [dict(zip(columns, row)) for row in zip(*values)]
         body = payload[0] if len(payload) == 1 else payload
         return json.dumps(body, indent=2, allow_nan=False) + "\n"
-    columns = list(records[0].keys())
-    texts = [_column([record[name] for record in records]) for name in columns]
+    texts = [_column(column) for column in columns.values()]
     return "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n"
+
+
+def _render(records: list[dict[str, object]], fmt: str) -> str:
+    names = records[0].keys() if records else ()
+    return _render_columns({name: [record[name] for record in records] for name in names}, fmt)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -283,6 +297,8 @@ _OPTIMIZE_GRID = tuple(i / 20 for i in range(2, 21))  # 0.10, 0.15, ..., 1.00
 _SWEEP_MU_GRID = tuple(i / 10 for i in range(1, 11))  # 0.1, 0.2, ..., 1.0
 _SWEEP_LENGTHS = tuple(float(length) for length in range(0, 201))
 _DISTURBANCE_GRID = tuple(i / 400 for i in range(0, 101))  # 0 .. 0.25
+_DISTANCE_FIELDS = ("mu_s", "length_km", "r_bob", "r_eve", "r_s")  # of a SweepRow
+_DISTURBANCE_FIELDS = ("mu_s", "d", "i_ab", "i_ae")
 
 
 def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -322,7 +338,7 @@ def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
 def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
     det = _detector(config)
     mu_values = config.mu_s or _SWEEP_MU_GRID
-    records: list[dict[str, object]]
+    columns: dict[str, Sequence[object]]
     if args.axis == "distance":
         grid = SweepGrid(
             mu_s_values=mu_values,
@@ -330,23 +346,16 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
             det=det,
             loss_db_per_km=config.loss_db_km,
         )
-        records = [
-            {
-                "mu_s": row.mu_s,
-                "length_km": row.length_km,
-                "r_bob": row.r_bob,
-                "r_eve": row.r_eve,
-                "r_s": row.r_s,
-            }
-            for row in sweep(grid)
-        ]
+        rows = sweep(grid)
+        columns = {name: list(map(attrgetter(name), rows)) for name in _DISTANCE_FIELDS}
     else:  # disturbance
-        records = []
-        for label in (IDEAL_SOURCE, *mu_values):
-            for d in _DISTURBANCE_GRID:
-                i_ab, i_ae = disturbance_tradeoff(label, d)
-                records.append({"mu_s": label, "d": d, "i_ab": i_ab, "i_ae": i_ae})
-    _emit(_render(records, args.fmt or "csv"), args.out)
+        records = (
+            (label, d, *disturbance_tradeoff(label, d))
+            for label in (IDEAL_SOURCE, *mu_values)
+            for d in _DISTURBANCE_GRID
+        )
+        columns = dict(zip(_DISTURBANCE_FIELDS, zip(*records)))
+    _emit(_render_columns(columns, args.fmt or "csv"), args.out)
     return EXIT_OK
 
 

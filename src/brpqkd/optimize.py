@@ -30,10 +30,10 @@ from .params import (
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency, transmittance
 from .security import (
     SecurityReport,
+    _eve_error_clamped,
     _eve_info_single,
+    _h2,
     _report,
-    eve_info_single,
-    mutual_info_ab,
     security_margin,
 )
 
@@ -297,7 +297,8 @@ def disturbance_tradeoff(
     per pulse (no multi-photon leakage, unit single-photon weight).
     """
     d = _check_probability("error rate", d)
-    i_ab = mutual_info_ab(d)
+    # each input is checked once, here; the scalar kernel pieces trust them
+    i_ab = 1.0 - _h2(d)
     if isinstance(mu_s, str):
         if mu_s != IDEAL_SOURCE:
             raise ValueError(f"unknown source marker {mu_s!r}")
@@ -307,7 +308,7 @@ def disturbance_tradeoff(
     if not mu_s > 0.0:
         raise ValueError(f"mu_s must be > 0, got {mu_s}")
     i_ae_multi = -math.expm1(-mu_s)
-    return i_ab, i_ae_multi + eve_info_single(mu_s, d)
+    return i_ab, i_ae_multi + _eve_info_single(mu_s, _eve_error_clamped(mu_s, d)[0])
 
 
 def disturbance_bound(mu_s: Union[float, str]) -> DisturbanceBound:
@@ -357,15 +358,21 @@ class SweepGrid:
             object.__setattr__(self, name, values)
 
 
-SweepRow = make_dataclass(
-    "SweepRow",
-    [("mu_s", "float"), ("length_km", "float"),
-     *((f.name, f.type) for f in fields(SecurityReport))],
-    frozen=True,
-    slots=True,
-)
+_SWEEP_ROW_FIELDS = [
+    ("mu_s", "float"), ("length_km", "float"),
+    *((f.name, f.type) for f in fields(SecurityReport)),
+]
+SweepRow = make_dataclass("SweepRow", _SWEEP_ROW_FIELDS, frozen=True, slots=True)
 SweepRow.__module__ = __name__
 SweepRow.__doc__ = """One grid point: the coordinates plus the flattened security report."""
+
+# The same slots, not frozen.  SweepRow.__init__ stores each of its 16
+# fields through object.__setattr__, which costs more per row than the
+# model does; this class's __init__ stores them directly (about 5x
+# faster), and CPython lets a row switch __class__ between two classes of
+# the same slot layout.  sweep builds its rows this way; a switched row is
+# a SweepRow in every respect (type, equality, hash, frozenness, pickling).
+_OpenSweepRow = make_dataclass("_OpenSweepRow", _SWEEP_ROW_FIELDS, slots=True)
 
 
 def sweep(grid: SweepGrid) -> list[SweepRow]:
@@ -385,8 +392,12 @@ def sweep(grid: SweepGrid) -> list[SweepRow]:
         transmittance(channel.length_km, channel.loss_db_per_km) * det.eta_d
         for channel in channels
     ]
-    return [
-        SweepRow(source.mu_s, channel.length_km, *_report(source.mu_s, eta_total, det))
-        for source in sources
-        for channel, eta_total in zip(channels, eta_totals)
-    ]
+    rows = []
+    for source in sources:
+        for channel, eta_total in zip(channels, eta_totals):
+            row = _OpenSweepRow(
+                source.mu_s, channel.length_km, *_report(source.mu_s, eta_total, det)
+            )
+            row.__class__ = SweepRow
+            rows.append(row)
+    return rows

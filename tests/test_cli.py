@@ -3,16 +3,21 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from brpqkd import cli, linkbudget, security
 from brpqkd.cli import format_number, main
 from brpqkd.montecarlo import EvePolicy
+from brpqkd.optimize import IDEAL_SOURCE, SweepGrid, disturbance_tradeoff, sweep
+from brpqkd.params import GYS_DETECTOR, IDEAL_DETECTOR
 
 
 def _run(capsys, *argv):
@@ -268,21 +273,53 @@ def test_missing_config_file(capsys, tmp_path):
     assert code == 2
 
 
+def _seed_cell(value):
+    # one CSV cell as the per-record renderer spelled it
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_number(value)
+    return str(value)
+
+
 def _seed_csv(records):
     # the per-record CSV renderer the column-wise one replaced; the reference
-    def cell(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, float):
-            return format_number(value)
-        return str(value)
-
     columns = list(records[0].keys())
     lines = [",".join(columns)]
-    lines.extend(",".join(cell(record[name]) for name in columns) for record in records)
+    lines.extend(",".join(_seed_cell(record[name]) for name in columns) for record in records)
     return "\n".join(lines) + "\n"
+
+
+def _seed_json(records):
+    # the per-record JSON renderer, the reference for the column-wise one
+    payload = [
+        {key: float(format_number(value)) if isinstance(value, float) else value
+         for key, value in record.items()}
+        for record in records
+    ]
+    return json.dumps(payload[0] if len(payload) == 1 else payload,
+                      indent=2, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-3, -1e-3, math.nextafter(1e-3, 0.0), math.nextafter(1e-3, 1.0),
+    math.nextafter(-1e-3, 0.0), math.nextafter(-1e-3, -1.0), 1.0, 146.2578125,
+]
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.booleans(), st.integers(),
+    st.text(alphabet="ideal01", max_size=3),
+)
+
+
+@given(st.lists(st.tuples(_CELLS, st.integers(min_value=1, max_value=4)), max_size=40))
+@example([(value, 2) for value in _EDGE_FLOATS] + [(True, 1), (1, 1), (1.0, 2), ("ideal", 1)])
+def test_column_formatter_matches_format_number(runs):
+    # runs of repeated values, as table coordinates repeat
+    values = [value for value, count in runs for _ in range(count)]
+    assert cli._column(values) == [_seed_cell(value) for value in values]
 
 
 def test_csv_renderer_matches_the_per_record_renderer():
@@ -298,6 +335,34 @@ def test_csv_renderer_matches_the_per_record_renderer():
     # a column mixing True, 1 and 1.0 keeps each value's own spelling
     mixed = [{"x": value} for value in (1.0, True, 1, 1.0, False, 0, 0.0, -0.0, True)]
     assert cli._render(mixed, "csv") == _seed_csv(mixed) == "x\n1\ntrue\n1\n1\nfalse\n0\n0\n0\ntrue\n"
+
+
+_TABLE_MU = tuple(i / 100 for i in sorted(random.Random(2026).sample(range(1, 151), 40)))
+_TABLE_LENGTHS = tuple(float(length) for length in range(0, 201))
+_TABLE_D = tuple(i / 400 for i in range(0, 101))
+
+
+@pytest.mark.parametrize("preset, det", [("gys2004", GYS_DETECTOR), ("ideal", IDEAL_DETECTOR)])
+@pytest.mark.parametrize("loss", [0.17, 0.21, 0.25])
+def test_sweep_tables_equal_the_per_record_reference(capsys, preset, det, loss):
+    distance = [
+        {"mu_s": row.mu_s, "length_km": row.length_km,
+         "r_bob": row.r_bob, "r_eve": row.r_eve, "r_s": row.r_s}
+        for row in sweep(SweepGrid(_TABLE_MU, _TABLE_LENGTHS, det, loss))
+    ]
+    disturbance = []
+    for label in (IDEAL_SOURCE, *_TABLE_MU):
+        for d in _TABLE_D:
+            i_ab, i_ae = disturbance_tradeoff(label, d)
+            disturbance.append({"mu_s": label, "d": d, "i_ab": i_ab, "i_ae": i_ae})
+    shared = ["--mu-s", ",".join(map(repr, _TABLE_MU)), "--preset", preset,
+              "--loss-db-km", repr(loss)]
+    for axis, records in (("distance", distance), ("disturbance", disturbance)):
+        for fmt, reference in (("csv", _seed_csv), ("json", _seed_json)):
+            code, out, err = _run(capsys, "sweep", axis, *shared, "--format", fmt)
+            assert (code, err) == (0, "")
+            # compared by line: a diff of the whole table would take minutes
+            assert out.splitlines(True) == reference(records).splitlines(True), (axis, fmt)
 
 
 def test_arithmetic_errors_exit_2_without_a_traceback(capsys, monkeypatch):

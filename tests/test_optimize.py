@@ -2,10 +2,12 @@
 
 import math
 import pickle
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 import brpqkd.optimize
@@ -19,6 +21,7 @@ from brpqkd import (
     SourceParams,
     SweepGrid,
     SweepRow,
+    binary_entropy,
     brp_empty_prob,
     brp_intensity_bound,
     disturbance_bound,
@@ -26,6 +29,7 @@ from brpqkd import (
     evaluate_point,
     eve_error_rate,
     eve_info_single,
+    mutual_info_ab,
     optimal_signal_intensity,
     secure_distance,
     sweep,
@@ -243,6 +247,36 @@ def test_disturbance_tradeoff_rejects_bad_arguments():
         disturbance_tradeoff(0.5, 1.5)
 
 
+def _tradeoff_reference(mu_s, d):
+    # the trade-off restated from the public per-term functions
+    if mu_s == IDEAL_SOURCE:
+        return mutual_info_ab(d), 1.0 - binary_entropy(0.5 - math.sqrt(d * (1.0 - d)))
+    return mutual_info_ab(d), -math.expm1(-mu_s) + eve_info_single(mu_s, d)
+
+
+# 709.78 and 709.79 straddle log(DBL_MAX), where exp(mu_s) overflows
+_TRADEOFF_MU = (IDEAL_SOURCE, 1e-9, 0.01, 0.1, 0.5, 1.0, 1.5, 30.0, 709.78, 709.79, 800.0)
+_TRADEOFF_D = (
+    *(i / 1000 for i in range(1001)),
+    5e-324, 1e-300, 1e-9, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 1.0 - 2.0**-53,
+)
+
+
+@pytest.mark.parametrize("mu_s", _TRADEOFF_MU)
+def test_disturbance_tradeoff_equals_the_per_term_functions_bitwise(mu_s):
+    for d in _TRADEOFF_D:
+        assert disturbance_tradeoff(mu_s, d) == _tradeoff_reference(mu_s, d), d
+
+
+@given(
+    mu_s=st.one_of(st.sampled_from(_TRADEOFF_MU),
+                   st.floats(min_value=0.0, max_value=1e3, exclude_min=True)),
+    d=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_disturbance_tradeoff_equals_the_per_term_functions_anywhere(mu_s, d):
+    assert disturbance_tradeoff(mu_s, d) == _tradeoff_reference(mu_s, d)
+
+
 def test_disturbance_bound_ideal_source():
     result = disturbance_bound(IDEAL_SOURCE)
     assert not result.insecure_at_zero
@@ -348,6 +382,21 @@ def test_sweep_rows_equal_evaluate_point_bitwise(loss):
 def test_sweep_rows_pickle():
     rows = sweep(SweepGrid((0.5,), (0.0, 100.0), GYS_DETECTOR))
     assert pickle.loads(pickle.dumps(rows)) == rows
+
+
+def test_sweep_rows_are_sweep_rows_in_every_respect():
+    # sweep builds its rows through a non-frozen twin class, then switches them
+    rows = sweep(SweepGrid((0.5, 1.0), (0.0, 100.0), GYS_DETECTOR))
+    built = [SweepRow(*astuple(row)) for row in rows]
+    assert [type(row) for row in rows] == [SweepRow] * 4
+    assert rows == built and list(map(hash, rows)) == list(map(hash, built))
+    assert list(map(repr, rows)) == list(map(repr, built))
+    with pytest.raises(FrozenInstanceError):
+        rows[0].r_s = 0.0
+    with pytest.raises(FrozenInstanceError):
+        del rows[0].r_s
+    assert replace(rows[0], r_s=1.0) == replace(built[0], r_s=1.0)
+    assert type(pickle.loads(pickle.dumps(rows[0]))) is SweepRow
 
 
 _NAN = float("nan")
