@@ -23,7 +23,7 @@ namespace.  Two instances share that body: one over ``math`` is the
 scalar kernel behind :func:`evaluate_point`, :func:`bob_error_rate`,
 the per-term functions and :func:`brpqkd.optimize.sweep`; one over
 numpy is :func:`security_margin`, which evaluates a whole array of
-efficiencies in one call.
+efficiencies, for one intensity or a block of them, in one call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,26 +104,47 @@ def _clamp_half_array(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(raw, 0.5), raw > 0.5
 
 
-def _formulas(expm1, sqrt, h2, clamp_half, any_of, first_of):
+def _exp_rows(mu_s):
+    # math.exp of each row's intensity, so every row rounds as the scalar mu_s does
+    if isinstance(mu_s, np.ndarray):
+        return np.array([math.exp(mu) for mu in mu_s.ravel()]).reshape(mu_s.shape)
+    return math.exp(mu_s)
+
+
+def _first_flagged(mu_s, eta_total, flags):
+    # the intensity and efficiency of the first flagged point, rows in order
+    if flags.ndim == 2:
+        row = int(np.argmax(flags.any(axis=1)))
+        mu_s, flags = float(mu_s[row, 0]), flags[row]
+    return mu_s, float(eta_total[np.argmax(flags)])
+
+
+def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
     """The model, written once over a small ops namespace.
 
-    ``mu_s`` is always a float; the efficiency and every rate derived
-    from it are floats for the ``math`` ops and arrays for the numpy
-    ops.  ``any_of(flags)`` tells whether any point is flagged and
-    ``first_of(values, flags)`` picks the value at the first flagged
+    For the ``math`` ops ``mu_s``, the efficiency and every rate derived
+    from them are floats.  For the numpy ops the efficiency is an array;
+    ``mu_s`` is a float or a column of intensities, one row of results
+    each.  ``exp`` only ever sees intensities, so both instances round
+    it alike.  ``where(flags, a, b)`` picks per point, ``any_of(flags)``
+    tells whether any point is flagged, and ``first_of(mu_s, eta_total,
+    flags)`` gives the intensity and efficiency of the first flagged
     point.  Returns the functions ``(yields, eve_error, info_multi,
     info_single, report)``; inputs are trusted: ``mu_s >= 0`` and
     ``eta_total`` in [0, 1].
     """
-    exp = math.exp  # of the scalar mu_s only, so both instances round alike
 
     def yields(mu_s, eta_total):
         return -expm1(-eta_total * mu_s), exp(-mu_s) * mu_s * eta_total
 
     def eve_error(mu_s, d_bob):
-        if mu_s > _LOG_DBL_MAX:
-            # exp(mu_s) overflows; d_bob * exp(mu_s) then exceeds 1/2 for every d_bob > 0
-            return clamp_half((d_bob > 0.0) * 1.0)
+        over = mu_s > _LOG_DBL_MAX
+        if any_of(over):
+            # exp(mu_s) overflows there, and d_bob * exp(mu_s) would exceed 1/2 for
+            # every d_bob > 0; those points take exp(0) in the unused branch
+            return clamp_half(
+                where(over, (d_bob > 0.0) * 1.0, d_bob * exp(where(over, 0.0, mu_s)))
+            )
         return clamp_half(d_bob * exp(mu_s))
 
     def info_multi(y_exp, y_1):
@@ -137,9 +158,9 @@ def _formulas(expm1, sqrt, h2, clamp_half, any_of, first_of):
         y_exp, y_1 = yields(mu_s, eta_total)
         undefined = y_exp <= 0.0
         if any_of(undefined):
+            mu_s, eta_total = first_of(mu_s, eta_total, undefined)
             raise UndefinedPointError(
-                f"no expected clicks at mu_s={mu_s}, "
-                f"eta_total={first_of(eta_total, undefined)}"
+                f"no expected clicks at mu_s={mu_s}, eta_total={eta_total}"
             )
         d_bob, d_bob_clamped = clamp_half((det.e_0 * det.y0 + det.e_detector * y_exp) / y_exp)
         d_eve, d_eve_clamped = eve_error(mu_s, d_bob)
@@ -159,11 +180,11 @@ def _formulas(expm1, sqrt, h2, clamp_half, any_of, first_of):
 
 
 _yields, _eve_error_clamped, _eve_info_multi, _eve_info_single, _report = _formulas(
-    math.expm1, math.sqrt, _h2, _clamp_half, bool, lambda eta_total, _: eta_total
+    math.exp, math.expm1, math.sqrt, _h2, _clamp_half,
+    lambda flag, a, b: a if flag else b, bool, lambda mu_s, eta_total, _: (mu_s, eta_total),
 )
 *_, _array_report = _formulas(
-    np.expm1, np.sqrt, _entropy, _clamp_half_array, np.any,
-    lambda eta_total, flags: float(eta_total[np.argmax(flags)]),
+    _exp_rows, np.expm1, np.sqrt, _entropy, _clamp_half_array, np.where, np.any, _first_flagged,
 )
 
 
@@ -268,16 +289,30 @@ def evaluate_point(
     return SecurityReport(*_report(source.mu_s, total_efficiency(channel, det), det))
 
 
-def security_margin(mu_s: float, eta_total: np.ndarray, det: DetectorParams) -> np.ndarray:
-    """Security margin ``r_s`` of one signal intensity over an array of total efficiencies.
+def security_margin(
+    mu_s: float | Sequence[float], eta_total: np.ndarray, det: DetectorParams
+) -> np.ndarray:
+    """Security margin ``r_s`` of signal intensities over an array of total efficiencies.
 
     The numpy instance of the formula body behind ``evaluate_point``
     (the scalar instance), so each value agrees with
     ``evaluate_point(...).r_s`` to within a few ulp of ``y_exp / 2``:
-    numpy and libm may round ``expm1`` and ``log2`` differently.  Inputs
-    are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].  Raises
-    :class:`UndefinedPointError` if any point expects no clicks.
+    numpy and libm may round ``expm1`` and ``log2`` differently.
+
+    A float ``mu_s`` gives one value per efficiency, shaped like
+    ``eta_total``.  A sequence of intensities with a 1-D ``eta_total``
+    gives one row per intensity, and each row equals the call with that
+    float intensity bit for bit: the intensity enters through
+    ``math.exp`` row by row.  Scanning several intensities at once pays
+    numpy's per-call overhead once per block instead of once per row.
+
+    Inputs are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].
+    Raises :class:`UndefinedPointError` if any point expects no clicks,
+    naming the first such row's intensity and its first such efficiency.
     """
-    # results that underflow to zero are intended, as on the scalar path
-    with np.errstate(under="ignore"):
+    if np.ndim(mu_s):
+        mu_s = np.asarray(mu_s, dtype=float).reshape(-1, 1)
+    # as on the scalar path, results that underflow to zero are intended, and so
+    # is d_bob's ratio overflowing where y_exp is subnormal: it clamps to 1/2
+    with np.errstate(under="ignore", over="ignore"):
         return _array_report(mu_s, eta_total, det)[10]  # r_s

@@ -376,6 +376,18 @@ def test_arithmetic_errors_exit_2_without_a_traceback(capsys, monkeypatch):
     assert err == "error: math range error\n"
 
 
+def test_multiple_crossings_exit_2_without_a_traceback(capsys):
+    # rounding noise near r_s = 0 flips the margin's sign over a hundred times
+    code, out, err = _run(
+        capsys, "optimize", "--mu-s", "30,36.8,40", "--eta-d", "0.001", "--y0", "0",
+        "--e-detector", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: security margin changes sign")
+    assert "Traceback" not in err
+
+
 def test_json_never_prints_a_non_finite_number(capsys, monkeypatch):
     real = cli.evaluate_point
     monkeypatch.setattr(

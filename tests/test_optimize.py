@@ -442,3 +442,129 @@ def test_sweep_raises_what_evaluate_point_raises(mu_values, lengths, loss):
 
     grid = SweepGrid(mu_values, lengths, GYS_DETECTOR, loss)
     assert _raised(lambda: sweep(grid)) == _raised(per_point)
+
+
+def _reference_optimum(det, loss, grid):
+    """The intensity search restated plainly: one secure_distance call per
+    grid value in grid order, then the plateau rule and the golden-section loop."""
+    mu_values = [float(mu) for mu in grid]
+    if not mu_values:
+        raise ValueError("intensity grid must be nonempty")
+    if any(b <= a for a, b in zip(mu_values, mu_values[1:])):
+        raise ValueError("intensity grid must be strictly increasing")
+    evaluated = {}
+
+    def reach(mu):
+        if mu not in evaluated:
+            evaluated[mu] = secure_distance(mu, det, loss)
+        return evaluated[mu].distance_km
+
+    distances = [reach(mu) for mu in mu_values]
+    best_index = max(range(len(mu_values)), key=distances.__getitem__)
+    if len(mu_values) == 1:
+        only = evaluated[mu_values[0]]
+        return (mu_values[0], only.distance_km, False, only.unbounded)
+    d_max = distances[best_index]
+    lo_i = hi_i = best_index
+    while lo_i > 0 and distances[lo_i - 1] >= d_max - 0.01:
+        lo_i -= 1
+    while hi_i < len(mu_values) - 1 and distances[hi_i + 1] >= d_max - 0.01:
+        hi_i += 1
+    if hi_i - lo_i >= 2:
+        mid = 0.5 * (mu_values[lo_i] + mu_values[hi_i])
+        at_mid = secure_distance(mid, det, loss)
+        return (mid, at_mid.distance_km, True, at_mid.unbounded)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a = mu_values[max(best_index - 1, 0)]
+    b = mu_values[min(best_index + 1, len(mu_values) - 1)]
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    f_c, f_d = reach(c), reach(d)
+    while b - a > 1e-3:
+        if f_c < f_d:
+            a, c, f_c = c, d, f_d
+            d = a + golden * (b - a)
+            f_d = reach(d)
+        else:
+            b, d, f_d = d, c, f_c
+            c = b - golden * (b - a)
+            f_c = reach(c)
+    best_mu = max(evaluated, key=lambda mu: (evaluated[mu].distance_km, -mu))
+    return (best_mu, evaluated[best_mu].distance_km, False, evaluated[best_mu].unbounded)
+
+
+def _outcome(search, det, loss, grid):
+    # the result, or the type and message of what the search raised
+    try:
+        return tuple(search(det, loss, grid))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _search_detectors():
+    rng = np.random.default_rng(909)
+    seeded = [
+        DetectorParams(
+            eta_d=float(rng.uniform(0.02, 0.3)),
+            y0=float(10.0 ** rng.uniform(-7.0, -5.0)),
+            e_detector=float(rng.uniform(0.01, 0.06)),
+        )
+        for _ in range(4)
+    ]
+    return [GYS_DETECTOR, IDEAL_DETECTOR, *seeded]
+
+
+_SEARCH_GRIDS = [
+    _GRID19,
+    [0.05, 0.3, 0.55, 0.8, 1.05, 1.3, 1.55],
+    [0.1, 0.2],
+    [0.5],
+    # straddling the exp overflow at mu_s = 709.78, more than one block below it
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 709.78, 709.79, 800.0],
+    [0.3, 0.5, 709.5, 709.79, 1000.0],
+    [700.0, 709.78, 709.79, 745.0, 800.0],
+]
+
+
+@pytest.mark.parametrize("loss", [0.17, 0.19, 0.21, 0.23, 0.25, 4.0])
+def test_optimal_intensity_equals_per_intensity_secure_distance(loss):
+    for det in _search_detectors():
+        for grid in _SEARCH_GRIDS:
+            assert (_outcome(optimal_signal_intensity, det, loss, grid)
+                    == _outcome(_reference_optimum, det, loss, grid)), (det, grid)
+
+
+@pytest.mark.parametrize(
+    "det, loss, grid",
+    [
+        # the margin flips sign from rounding noise near r_s = 0
+        (DetectorParams(eta_d=0.001, y0=0.0, e_detector=0.0), 0.21, [30.0, 36.8, 40.0]),
+        (DetectorParams(eta_d=0.001, y0=0.0, e_detector=0.0), 0.21, [30.0, 36.8, math.nan]),
+        (GYS_DETECTOR, 4.0, [0.5, math.nan]),  # no clicks before the bad intensity
+        (GYS_DETECTOR, 0.21, [0.5, 0.7, math.nan]),
+        (GYS_DETECTOR, 0.21, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, math.inf]),
+        (GYS_DETECTOR, math.nan, [-1.0, 0.5]),  # the intensity is checked before the loss
+        (GYS_DETECTOR, math.nan, [0.5, 0.6]),
+        (GYS_DETECTOR, -0.1, [0.5, 0.6]),
+        (GYS_DETECTOR, 0.21, [0.0, 0.5]),  # mu_s = 0 expects no clicks
+        (GYS_DETECTOR, 0.21, [1e308, 1.5e308, 1.7e308]),  # the plateau midpoint overflows
+        (DetectorParams(eta_d=0.0), 0.21, _GRID19),
+        (GYS_DETECTOR, 0.21, []),
+        (GYS_DETECTOR, 0.21, [0.5, 0.5]),
+    ],
+)
+def test_optimal_intensity_raises_what_secure_distance_raises(det, loss, grid):
+    assert (_outcome(optimal_signal_intensity, det, loss, grid)
+            == _outcome(_reference_optimum, det, loss, grid))
+
+
+@given(
+    grid=st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=25,
+                  unique=True).map(sorted),
+    det_index=st.integers(min_value=0, max_value=5),
+    loss=st.floats(min_value=0.15, max_value=0.3),
+)
+def test_optimal_intensity_equals_per_intensity_secure_distance_anywhere(grid, det_index, loss):
+    det = _search_detectors()[det_index]
+    assert (_outcome(optimal_signal_intensity, det, loss, grid)
+            == _outcome(_reference_optimum, det, loss, grid))
