@@ -122,31 +122,22 @@ _PRESETS: dict[str, DetectorParams] = {"gys2004": GYS_DETECTOR, "ideal": IDEAL_D
 
 def format_number(value: float) -> str:
     """Format a float at 9 significant digits, scientific below 1e-3."""
-    if value != value:
-        return "nan"
-    if value == 0:
-        return "0"
-    if abs(value) < 1e-3:
-        return f"{value:.8e}"
-    return f"{value:.9g}"
+    return _column([float(value)])[0]
 
 
 def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format_number(value)
     return str(value)
 
 
 def _column(values: Sequence[object]) -> list[str]:
-    # format_number's rule, applied once per run of equal floats (a table
-    # column repeats its coordinates).  The rule is inlined because a call
-    # per cell costs about 5% of the bulk sweep tables' throughput.  Only
-    # floats are compared with the last float, because True == 1 == 1.0
-    # spell differently; -0.0 and 0.0 both print "0".
+    # the text of each cell; the number rule of format_number is written
+    # here, applied once per run of equal floats (a table column repeats
+    # its coordinates).  Only floats are compared with the last float,
+    # because True == 1 == 1.0 spell differently; -0.0 and 0.0 both print "0".
     texts = []
     last = text = None
     for value in values:
@@ -167,16 +158,12 @@ def _column(values: Sequence[object]) -> list[str]:
     return texts
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, float):
-        return float(format_number(value))
-    return value
-
-
 def _render_columns(columns: dict[str, Sequence[object]], fmt: str) -> str:
     # columns of equal length, one per output field in output order
     if fmt == "json":
-        values = [[_json_value(value) for value in column] for column in columns.values()]
+        # a float is printed as the float its text spells, as in CSV
+        values = [[float(text) if isinstance(value, float) else value
+                   for value, text in zip(column, _column(column))] for column in columns.values()]
         payload = [dict(zip(columns, row)) for row in zip(*values)]
         body = payload[0] if len(payload) == 1 else payload
         return json.dumps(body, indent=2, allow_nan=False) + "\n"
@@ -211,8 +198,6 @@ def _parse_mu_list(raw: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --mu-s value {raw!r}: {exc}") from None
-    if not values:
-        raise UsageError("--mu-s needs at least one value")
     return values
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ChannelParams, _check_probability
+from .params import ChannelParams, _check_nonnegative, _check_probability, _float
 from .photon_stats import channel_transmittance
 
 __all__ = [
@@ -49,20 +49,18 @@ class OpticalChain:
     switch_crosstalk_db: float = 20.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.source_intensity) or self.source_intensity < 0.0:
-            raise ValueError(f"source_intensity must be >= 0, got {self.source_intensity}")
+        source_intensity = _check_nonnegative("source_intensity", self.source_intensity)
+        object.__setattr__(self, "source_intensity", source_intensity)
         for name in ("alice_split_ratio", "bob_split_ratio"):
-            ratio = tuple(float(x) for x in getattr(self, name))
-            if len(ratio) != 2 or any(x < 0.0 for x in ratio):
+            ratio = tuple(map(_float, getattr(self, name)))
+            # NaN fails the comparison, so it is rejected too
+            if len(ratio) != 2 or not all(x >= 0.0 for x in ratio):
                 raise ValueError(f"{name} must be two nonnegative fractions, got {ratio}")
             if abs(ratio[0] + ratio[1] - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1, got {ratio}")
             object.__setattr__(self, name, ratio)
         for name in ("alice_attenuation_db", "bob_attenuation_db", "switch_crosstalk_db"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be >= 0 dB, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,6 @@ def afterpulse_error(p_afterpulse: float) -> float:
 
 def crosstalk_false_click(leak_intensity: float, eta_d: float) -> float:
     """Probability that switch leakage fires the signal detector, ``1 - exp(-eta_d * leak)``."""
-    leak_intensity = float(leak_intensity)
-    if not math.isfinite(leak_intensity) or leak_intensity < 0.0:
-        raise ValueError(f"leak intensity must be >= 0, got {leak_intensity}")
+    leak_intensity = _check_nonnegative("leak_intensity", leak_intensity)
     eta_d = _check_probability("eta_d", eta_d)
     return -math.expm1(-eta_d * leak_intensity)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams, _check_probability
+from .params import ChannelParams, DetectorParams, SourceParams, _check_integer, _check_probability
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
 from .security import UndefinedPointError, bob_error_rate, yields
 
@@ -115,13 +115,8 @@ class McConfig:
     eve: EvePolicy = EvePolicy()
 
     def __post_init__(self) -> None:
-        if int(self.n_pulses) < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        object.__setattr__(self, "n_pulses", int(self.n_pulses))
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_pulses", _check_integer("n_pulses", self.n_pulses, 1))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0, 2**64))
 
 
 class McCounts(NamedTuple):
@@ -169,12 +164,8 @@ def derive_stream(seed: int, block_index: int) -> np.random.Generator:
     blocks are independent and a given (seed, block) pair yields the
     same stream in every process, thread and run.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    block_index = int(block_index)
-    if block_index < 0:
-        raise ValueError(f"block index must be >= 0, got {block_index}")
+    seed = _check_integer("seed", seed, 0, 2**64)
+    block_index = _check_integer("block index", block_index, 0)
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.PCG64(sequence))
 
@@ -430,8 +421,7 @@ def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
 
 
 def _run(config: McConfig, threads: int) -> McResult:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _check_integer("threads", threads, 1)
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     jobs = (
         (config, index, min(BLOCK_SIZE, config.n_pulses - index * BLOCK_SIZE))

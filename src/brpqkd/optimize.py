@@ -24,7 +24,9 @@ from .params import (
     DEFAULT_LOSS_DB_PER_KM,
     ChannelParams,
     DetectorParams,
-    SourceParams,
+    _check_grid,
+    _check_nonnegative,
+    _check_positive,
     _check_probability,
 )
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency, transmittance
@@ -145,15 +147,17 @@ def secure_distance(
     returns 0.  A margin with several sign changes on the grid raises
     :class:`MultipleCrossingsError` listing every crossing bracket.
     """
-    mu_s = SourceParams(mu_s=mu_s).mu_s
+    mu_s = _check_nonnegative("mu_s", mu_s)
     loss, eta_total = _scan_efficiencies(det, loss_db_per_km)
     return _reach(mu_s, security_margin(mu_s, eta_total, det) > 0.0, det, loss)
 
 
 def _scan_efficiencies(det: DetectorParams, loss_db_per_km: float) -> tuple[float, np.ndarray]:
-    # the checked loss, and the total efficiency at each length of the scan grid
-    loss = ChannelParams(length_km=SCAN_CAP_KM, loss_db_per_km=loss_db_per_km).loss_db_per_km
-    return loss, transmittance(_SCAN_GRID_KM, loss) * det.eta_d
+    # the checked loss, and the total efficiency at each length of the scan grid;
+    # as on the scalar path, a huge loss overflows to a zero transmittance
+    loss = _check_nonnegative("loss_db_per_km", loss_db_per_km)
+    with np.errstate(over="ignore"):
+        return loss, transmittance(_SCAN_GRID_KM, loss) * det.eta_d
 
 
 def _reach(
@@ -191,7 +195,7 @@ def _reach(
 
 
 def _grid_reaches(
-    mu_values: list[float], eta_total: np.ndarray, det: DetectorParams, loss: float
+    mu_values: Sequence[float], eta_total: np.ndarray, det: DetectorParams, loss: float
 ) -> list[SecureDistance]:
     """Reach of each checked intensity of an increasing grid, in order.
 
@@ -210,11 +214,11 @@ def _grid_reaches(
     return reaches
 
 
-def _leading_intensities(mu_values: list[float]) -> tuple[list[float], ValueError | None]:
+def _leading_intensities(mu_values: Sequence[float]) -> tuple[Sequence[float], ValueError | None]:
     # the values before the first invalid intensity, and the error that one raises
     for i, mu in enumerate(mu_values):
         try:
-            SourceParams(mu_s=mu)
+            _check_nonnegative("mu_s", mu)
         except ValueError as exc:
             return mu_values[:i], exc
     return mu_values, None
@@ -237,11 +241,7 @@ def optimal_signal_intensity(
     that fails raises what ``secure_distance`` raises at the first grid
     value that fails.  The grid values are scanned a block at a time.
     """
-    mu_values = [float(mu) for mu in grid]
-    if not mu_values:
-        raise ValueError("intensity grid must be nonempty")
-    if any(b <= a for a, b in zip(mu_values, mu_values[1:])):
-        raise ValueError("intensity grid must be strictly increasing")
+    mu_values = _check_grid("intensity grid", grid)
 
     # secure_distance checks the intensity, then the loss, then scans
     checked, invalid = _leading_intensities(mu_values)
@@ -284,7 +284,7 @@ def optimal_signal_intensity(
         hi_i += 1
     if hi_i - lo_i >= 2:
         # the midpoint of two huge intensities can overflow, so it is checked
-        mid = SourceParams(mu_s=0.5 * (mu_values[lo_i] + mu_values[hi_i])).mu_s
+        mid = _check_nonnegative("mu_s", 0.5 * (mu_values[lo_i] + mu_values[hi_i]))
         at_mid = scan(mid)
         return OptimalIntensity(
             mu_s_star=mid,
@@ -333,12 +333,8 @@ def brp_intensity_bound(
     of one (or more) tolerates suppression of every single-photon pulse
     and constrains nothing, so the bound collapses to zero.
     """
-    mu_s = float(mu_s)
-    if not mu_s > 0.0:
-        raise ValueError(f"mu_s must be > 0, got {mu_s}")
-    budget = float(budget)
-    if not budget > 0.0:
-        raise ValueError(f"suppression budget must be > 0, got {budget}")
+    mu_s = _check_positive("mu_s", mu_s)
+    budget = _check_positive("suppression budget", budget)
     eta_total = total_efficiency(channel, det)
     if eta_total <= 0.0:
         raise ValueError("total efficiency is zero; no intensity can be monitored")
@@ -374,9 +370,7 @@ def disturbance_tradeoff(
             raise ValueError(f"unknown source marker {mu_s!r}")
         # unit single-photon weight exp(-0) and the whole error budget, unclamped
         return i_ab, _eve_info_single(0.0, d)
-    mu_s = float(mu_s)
-    if not mu_s > 0.0:
-        raise ValueError(f"mu_s must be > 0, got {mu_s}")
+    mu_s = _check_positive("mu_s", mu_s)
     i_ae_multi = -math.expm1(-mu_s)
     return i_ab, i_ae_multi + _eve_info_single(mu_s, _eve_error_clamped(mu_s, d)[0])
 
@@ -420,12 +414,7 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         for name in ("mu_s_values", "length_values_km"):
-            values = tuple(float(v) for v in getattr(self, name))
-            if not values:
-                raise ValueError(f"{name} must be nonempty")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _check_grid(name, getattr(self, name)))
 
 
 _SWEEP_ROW_FIELDS = [
@@ -453,21 +442,14 @@ def sweep(grid: SweepGrid) -> list[SweepRow]:
     any point is evaluated.
     """
     det = grid.det
-    sources = [SourceParams(mu_s=mu_s) for mu_s in grid.mu_s_values]
-    channels = [
-        ChannelParams(length_km=length_km, loss_db_per_km=grid.loss_db_per_km)
-        for length_km in grid.length_values_km
-    ]
-    eta_totals = [
-        transmittance(channel.length_km, channel.loss_db_per_km) * det.eta_d
-        for channel in channels
-    ]
+    mu_values = [_check_nonnegative("mu_s", mu_s) for mu_s in grid.mu_s_values]
+    loss = _check_nonnegative("loss_db_per_km", grid.loss_db_per_km)
+    lengths = [_check_nonnegative("length_km", length) for length in grid.length_values_km]
+    eta_totals = [transmittance(length, loss) * det.eta_d for length in lengths]
     rows = []
-    for source in sources:
-        for channel, eta_total in zip(channels, eta_totals):
-            row = _OpenSweepRow(
-                source.mu_s, channel.length_km, *_report(source.mu_s, eta_total, det)
-            )
+    for mu_s in mu_values:
+        for length_km, eta_total in zip(lengths, eta_totals):
+            row = _OpenSweepRow(mu_s, length_km, *_report(mu_s, eta_total, det))
             row.__class__ = SweepRow
             rows.append(row)
     return rows

@@ -15,7 +15,9 @@ limit curves.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "SourceParams",
@@ -29,19 +31,70 @@ __all__ = [
 DEFAULT_LOSS_DB_PER_KM = 0.21
 
 
+def _float(value: float) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        # an int beyond the float range stands for the infinity of its sign
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
+def _check_nonnegative(name: str, value: float) -> float:
+    # valid values return first: the classes check each field of every point
+    value = _float(value)
+    if 0.0 <= value < math.inf:
+        return value
+    _check_finite(name, value)
+    raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_positive(name: str, value: float) -> float:
+    # NaN fails the comparison; +inf passes, because the model clamps it
+    value = _float(value)
+    if not value > 0.0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
 def _check_probability(name: str, value: float) -> float:
     # NaN fails the comparison, so it is rejected too
-    value = float(value)
+    value = _float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
+
+
+def _check_grid(name: str, values: Sequence[float]) -> tuple[float, ...]:
+    # the values as floats, nonempty and strictly increasing
+    values = tuple(map(_float, values))
+    if not values:
+        raise ValueError(f"{name} must be nonempty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return values
+
+
+def _check_integer(name: str, value: int, low: int, high: float = math.inf) -> int:
+    # an int in [low, high); an integral float such as 1e6 counts as one
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = _float(value)
+        if not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {number}") from None
+        number = int(number)
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    if number >= high:
+        raise ValueError(f"{name} must be < {high}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -64,10 +117,7 @@ class SourceParams:
 
     def __post_init__(self) -> None:
         for name in ("mu_s", "mu_b"):
-            value = _check_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -88,10 +138,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("length_km", "loss_db_per_km"):
-            value = _check_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .params import ChannelParams, DetectorParams, _check_probability
+from .params import ChannelParams, DetectorParams, _check_nonnegative, _check_probability
 
 __all__ = [
     "poisson_pmf",
@@ -36,9 +36,7 @@ def poisson_pmf(n: int, mu: float) -> float:
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    mu = _check_nonnegative("mu", mu)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     if n > _LOG_FORM_CUTOFF or mu > _LOG_FORM_CUTOFF:
@@ -97,8 +95,6 @@ def brp_empty_prob(mu_b: float, eta_total: float) -> float:
     ``eta_total``: the window in which an eavesdropper can suppress a
     cycle without leaving a missing-pulse signature.
     """
-    mu_b = float(mu_b)
-    if not math.isfinite(mu_b) or mu_b < 0.0:
-        raise ValueError(f"mu_b must be finite and >= 0, got {mu_b}")
+    mu_b = _check_nonnegative("mu_b", mu_b)
     eta_total = _check_probability("eta_total", eta_total)
     return math.exp(-eta_total * mu_b)

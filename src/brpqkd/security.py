@@ -35,7 +35,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams, _check_probability
+from .params import (
+    ChannelParams,
+    DetectorParams,
+    SourceParams,
+    _check_positive,
+    _check_probability,
+)
 from .photon_stats import total_efficiency
 
 __all__ = [
@@ -225,9 +231,7 @@ def eve_error_rate(mu_s: float, d: float) -> float:
     exceeds a random channel.  Total in ``mu_s``: where ``exp(mu_s)``
     would overflow, any ``d > 0`` is clamped.
     """
-    mu_s = float(mu_s)
-    if not mu_s > 0.0:
-        raise ValueError(f"mu_s must be > 0 to carry single-photon pulses, got {mu_s}")
+    mu_s = _check_positive("mu_s", mu_s)
     return _eve_error_clamped(mu_s, _check_probability("error rate", d))[0]
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -42,6 +43,27 @@ def test_format_number():
     assert format_number(3.344946485685963e-08) == "3.34494649e-08"
     assert format_number(float("nan")) == "nan"
     assert len(format_number(0.123456789123).replace("0.", "")) == 9
+
+
+def _format_rule(value):
+    # the documented rule: 9 significant digits, scientific below 1e-3
+    if value != value:
+        return "nan"
+    if value == 0:
+        return "0"
+    if abs(value) < 1e-3:
+        return f"{value:.8e}"
+    return f"{value:.9g}"
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(-0.0)
+@example(1e-3)
+@example(-1e-3)
+@example(5e-324)
+def test_format_number_follows_its_rule(value):
+    assert format_number(value) == _format_rule(value)
+    assert format_number(np.float64(value)) == _format_rule(value)
 
 
 def test_evaluate_secure_point(capsys):
@@ -244,6 +266,25 @@ def test_config_file_sets_parameters(capsys, tmp_path):
     assert record["length_km"] == 50.0
     assert record["brp_at_alice"] == 0.0
     assert record["signal_at_bob"] == 0.0
+
+
+@pytest.mark.parametrize("key", ["alice_split_long", "bob_split_long"])
+def test_a_nan_split_exits_2_naming_the_split(capsys, tmp_path, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = nan\n")
+    code, out, err = _run(capsys, "budget", "--config", str(config))
+    name = key.replace("_long", "_ratio")
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be two nonnegative fractions, got (nan, nan)\n"
+
+
+def test_a_loss_that_overflows_the_scan_exits_2_with_only_the_error(capsys):
+    # the scan's overflow warning would print before the error line without
+    # the errstate; a subprocess does not inherit pyproject's warning filter
+    done = _run_module("optimize", "--loss-db-km", "1e306")
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"error: no expected clicks at mu_s=0.1, eta_total=0.0\n"
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):

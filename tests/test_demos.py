@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the library in this tree."""
+"""Every demo script runs to completion against the library in this tree.
+
+Each runs with RuntimeWarnings as errors, the policy pyproject sets for the
+tests, because a subprocess does not inherit pytest's warning filters.
+"""
 
 import os
 import subprocess
@@ -15,7 +19,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

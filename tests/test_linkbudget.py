@@ -136,3 +136,15 @@ def test_chain_validation():
         _default_chain(alice_attenuation_db=-5.0)
     with pytest.raises(ValueError):
         _default_chain(switch_crosstalk_db=-1.0)
+
+
+@pytest.mark.parametrize("name", ["alice_split_ratio", "bob_split_ratio"])
+@pytest.mark.parametrize("ratio", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_a_nan_split_ratio_is_rejected(name, ratio):
+    with pytest.raises(ValueError, match=f"^{name} must be two nonnegative fractions, got "):
+        _default_chain(**{name: ratio})
+
+
+def test_source_intensity_is_stored_as_a_float():
+    chain = _default_chain(source_intensity=8)
+    assert type(chain.source_intensity) is float and chain.source_intensity == 8.0

@@ -21,6 +21,7 @@ from brpqkd import (
     SourceParams,
     SweepGrid,
     SweepRow,
+    UndefinedPointError,
     binary_entropy,
     brp_empty_prob,
     brp_intensity_bound,
@@ -415,6 +416,17 @@ _LINK = ChannelParams(length_km=50.0)
 def test_nan_intensity_or_budget_is_rejected(call, blamed):
     with pytest.raises(ValueError, match=blamed):
         call()
+
+
+@pytest.mark.parametrize("loss", [1.7e305, 1e306, 1e308])
+def test_a_loss_that_overflows_the_scan_expects_no_clicks(loss):
+    # -loss * 1000 km overflows to -inf on the scan grid, as it does on the scalar path;
+    # pyproject turns numpy's overflow warning into an error, so none may be left on
+    message = r"^no expected clicks at mu_s=0\.5, eta_total=0\.0$"
+    with pytest.raises(UndefinedPointError, match=message):
+        secure_distance(0.5, GYS_DETECTOR, loss)
+    with pytest.raises(UndefinedPointError, match=message):
+        optimal_signal_intensity(GYS_DETECTOR, loss, [0.5, 0.6])
 
 
 def _raised(call):
