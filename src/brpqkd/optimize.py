@@ -24,6 +24,7 @@ from .params import (
     DEFAULT_LOSS_DB_PER_KM,
     ChannelParams,
     DetectorParams,
+    _check_finite,
     _check_grid,
     _check_nonnegative,
     _check_positive,
@@ -70,9 +71,13 @@ _SCAN_GRID_KM.flags.writeable = False
 
 # Grid intensities per security_margin call in optimal_signal_intensity.  Most
 # of a 1001-point call is fixed numpy dispatch, so a block of rows costs less
-# per intensity, until its temporaries outgrow the cache: per intensity, 39 us
-# for 1 row, 16.9 us at 4 rows, 14.5 us at 6, then 20.1 us at 7, 25.2 us at 8
-# and 31.4 us at 19 (2 vCPU, Python 3.11.7, numpy 2.4.6).
+# per intensity, until its temporaries are large enough that freeing them trims
+# glibc's heap and the next call faults the pages back in.  Per intensity: 40 us
+# for 1 row, 18 us at 4 rows and 15.8 us at 6 with no page faults, then 25 us at
+# 8 rows (about 90 minor faults a call) and 31 us at 19 (about 540).  With
+# MALLOC_TRIM_THRESHOLD_ and MALLOC_MMAP_THRESHOLD_ at 64 MB the faults vanish
+# and 19 rows cost 13 us each, so the limit is the allocator, not the cache
+# (2 vCPU, Python 3.11.7, numpy 2.4.6, faults from getrusage's ru_minflt).
 _SCAN_BLOCK_ROWS = 6
 
 # Sentinel intensity: every pulse carries exactly one photon.
@@ -297,7 +302,12 @@ def optimal_signal_intensity(
     b = mu_values[min(best_index + 1, len(mu_values) - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    f_c, f_d = reach(c), reach(d)
+    # the new opening probes share one call: c <= d, so d's row can lack clicks
+    # only if c's row does too, and the block raises what reach(c) and then
+    # reach(d) would (see _grid_reaches)
+    fresh = [mu for mu in (c, d) if mu not in evaluated]
+    evaluated.update(zip(fresh, _grid_reaches(fresh, eta_total, det, loss)))
+    f_c, f_d = evaluated[c].distance_km, evaluated[d].distance_km
     while b - a > _MU_TOL:
         if f_c < f_d:
             a, c, f_c = c, d, f_d
@@ -333,7 +343,8 @@ def brp_intensity_bound(
     of one (or more) tolerates suppression of every single-photon pulse
     and constrains nothing, so the bound collapses to zero.
     """
-    mu_s = _check_positive("mu_s", mu_s)
+    # +inf passes the > 0 rule, but p_1(mu_s) has no bound to give there
+    mu_s = _check_finite("mu_s", _check_positive("mu_s", mu_s))
     budget = _check_positive("suppression budget", budget)
     eta_total = total_efficiency(channel, det)
     if eta_total <= 0.0:

@@ -40,7 +40,13 @@ def poisson_pmf(n: int, mu: float) -> float:
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
     if n > _LOG_FORM_CUTOFF or mu > _LOG_FORM_CUTOFF:
-        return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+        try:
+            log_n_factorial = math.lgamma(n + 1)
+        except OverflowError:
+            # n, or ln n!, past the float range: the pmf is 0 in double there unless
+            # mu lies within a few sqrt(n) of n, which this log form cannot resolve anyway
+            return 0.0
+        return math.exp(n * math.log(mu) - mu - log_n_factorial)
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 
@@ -61,8 +67,13 @@ def detect_prob(i: int, eta: float) -> float:
         return eta
     if eta == 1.0:
         return 1.0
+    try:
+        exponent = i * math.log1p(-eta)
+    except OverflowError:
+        # i beyond the float range: some photon clicks unless none can
+        return 1.0 if eta > 0.0 else 0.0
     # 1 - (1-eta)^i evaluated without cancellation for small eta
-    return -math.expm1(i * math.log1p(-eta))
+    return -math.expm1(exponent)
 
 
 def transmittance(length_km, loss_db_per_km):

@@ -92,11 +92,11 @@ def _h2(x: float) -> float:
 
 
 def _entropy(x: np.ndarray) -> np.ndarray:
-    # binary_entropy over an array, with 0 log 0 = 0
+    # binary_entropy over an array; at zero the log2 of the smallest subnormal is
+    # -1074, which the zero factor cancels, so 0 log 0 = 0 with no masked log2
+    # (a zero result may come out as -0.0, which the callers' 1 - h2 absorbs)
     y = 1.0 - x
-    log2_x = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
-    log2_y = np.log2(y, out=np.zeros_like(y), where=y > 0.0)
-    return -x * log2_x - y * log2_y
+    return -x * np.log2(np.maximum(x, 5e-324)) - y * np.log2(np.maximum(y, 5e-324))
 
 
 def _clamp_half(raw: float) -> tuple[float, bool]:
@@ -115,6 +115,11 @@ def _exp_rows(mu_s):
     if isinstance(mu_s, np.ndarray):
         return np.array([math.exp(mu) for mu in mu_s.ravel()]).reshape(mu_s.shape)
     return math.exp(mu_s)
+
+
+def _any_flagged(flags) -> bool:
+    # a float intensity gives the overflow check a plain bool, which needs no numpy call
+    return flags if isinstance(flags, bool) else flags.any()
 
 
 def _first_flagged(mu_s, eta_total, flags):
@@ -190,7 +195,8 @@ _yields, _eve_error_clamped, _eve_info_multi, _eve_info_single, _report = _formu
     lambda flag, a, b: a if flag else b, bool, lambda mu_s, eta_total, _: (mu_s, eta_total),
 )
 *_, _array_report = _formulas(
-    _exp_rows, np.expm1, np.sqrt, _entropy, _clamp_half_array, np.where, np.any, _first_flagged,
+    _exp_rows, np.expm1, np.sqrt, _entropy, _clamp_half_array, np.where, _any_flagged,
+    _first_flagged,
 )
 
 

@@ -35,6 +35,7 @@ from brpqkd import (
     secure_distance,
     sweep,
 )
+from brpqkd.security import security_margin
 
 mp.dps = 50
 
@@ -90,6 +91,22 @@ _FAST = DetectorParams(eta_d=0.15, y0=3e-7, e_detector=0.015)
 _DARK = DetectorParams(eta_d=0.03, y0=8e-6, e_detector=0.045)
 _NOISY = DetectorParams(eta_d=0.045, y0=1.7e-6, e_detector=0.25)
 _GRID19 = [i / 20 for i in range(2, 21)]
+
+
+def test_the_default_search_scans_its_grid_in_blocks_and_its_opening_probes_together(
+    monkeypatch,
+):
+    rows = []
+
+    def counting(mu_s, eta_total, det):
+        rows.append(len(mu_s) if np.ndim(mu_s) else 1)
+        return security_margin(mu_s, eta_total, det)
+
+    monkeypatch.setattr(brpqkd.optimize, "security_margin", counting)
+    best = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
+    # 19 grid values six at a time, both opening probes, then one probe per step
+    assert rows == [6, 6, 6, 1, 2] + [1] * 10
+    assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
 
 
 @pytest.mark.parametrize(
@@ -416,6 +433,13 @@ _LINK = ChannelParams(length_km=50.0)
 def test_nan_intensity_or_budget_is_rejected(call, blamed):
     with pytest.raises(ValueError, match=blamed):
         call()
+
+
+@pytest.mark.parametrize("mu_s", [math.inf, 10**400], ids=["inf", "10**400"])
+def test_an_infinite_intensity_is_rejected_by_the_brp_bound_naming_mu_s(mu_s):
+    # the > 0 rule lets +inf through elsewhere, but this bound has no value there
+    with pytest.raises(ValueError, match=r"^mu_s must be finite, got inf$"):
+        brp_intensity_bound(mu_s, _LINK, GYS_DETECTOR)
 
 
 @pytest.mark.parametrize("loss", [1.7e305, 1e306, 1e308])

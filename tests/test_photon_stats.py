@@ -81,6 +81,17 @@ def test_poisson_pmf_rejects_bad_arguments():
         poisson_pmf(1.5, 0.5)
 
 
+def test_photon_numbers_beyond_the_float_range_answer():
+    # n! swamps mu**n, and any efficiency above zero clicks on so many photons
+    assert poisson_pmf(10**400, 0.5) == 0.0
+    assert poisson_pmf(10**400, 1e300) == 0.0
+    assert poisson_pmf(10**306, 0.5) == 0.0  # ln n! overflows here
+    assert poisson_pmf(10**306, 1e300) == 0.0
+    assert detect_prob(10**400, 0.5) == 1.0
+    assert detect_prob(10**400, 5e-324) == 1.0
+    assert detect_prob(10**400, 0.0) == 0.0
+
+
 def test_detect_prob_trivial_cases():
     assert detect_prob(0, 0.3) == 0.0
     assert detect_prob(1, 0.3) == 0.3  # exact, by contract

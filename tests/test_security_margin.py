@@ -1,6 +1,7 @@
 """Array margin kernel against the scalar evaluate_point it mirrors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from brpqkd import (
     secure_distance,
 )
 from brpqkd.photon_stats import transmittance
-from brpqkd.security import security_margin
+from brpqkd.security import _entropy, security_margin
 
 LENGTHS = np.arange(1001) * 1.0
 GRID19 = [i / 20 for i in range(2, 21)]
@@ -90,3 +91,25 @@ def test_kernel_is_total_past_the_exp_overflow():
         tol = ULPS * 2.0**-52 * 0.5 * report.y_exp
         assert abs(values[int(length)] - report.r_s) <= tol
         assert math.isfinite(report.r_s)
+
+
+def _masked_entropy(x):
+    # binary entropy with log2 taken only where its argument is positive
+    y = 1.0 - x
+    log2_x = np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+    log2_y = np.log2(y, out=np.zeros_like(y), where=y > 0.0)
+    return -x * log2_x - y * log2_y
+
+
+def test_entropy_matches_the_masked_form():
+    # equal as values; only the sign of a zero result may differ, and the callers'
+    # 1 - h2 absorbs it, so what they see is bitwise equal
+    edges = [0.0, -0.0, 5e-324, 1e-310, sys.float_info.min, 1e-300,
+             0.5, 0.5 - 2.0**-54, 1.0, 1.0 - 2.0**-53]
+    rng = np.random.default_rng(1101)
+    with np.errstate(under="ignore"):
+        log_uniform = np.exp2(rng.uniform(math.log2(1e-320), -1.0, 50_000))
+        x = np.concatenate([edges, rng.uniform(0.0, 0.5, 50_000), log_uniform])
+        h2, masked = _entropy(x), _masked_entropy(x)
+    assert np.array_equal(h2, masked)
+    assert (1.0 - h2).tobytes() == (1.0 - masked).tobytes()
