@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ChannelParams, _check_nonnegative, _check_probability, _float
+from .params import ChannelParams, _check_fields, _check_nonnegative, _check_probability, _float
 from .photon_stats import channel_transmittance
 
 __all__ = [
@@ -49,8 +49,7 @@ class OpticalChain:
     switch_crosstalk_db: float = 20.0
 
     def __post_init__(self) -> None:
-        source_intensity = _check_nonnegative("source_intensity", self.source_intensity)
-        object.__setattr__(self, "source_intensity", source_intensity)
+        _check_fields(self, _check_nonnegative, ("source_intensity",))
         for name in ("alice_split_ratio", "bob_split_ratio"):
             ratio = tuple(map(_float, getattr(self, name)))
             # NaN fails the comparison, so it is rejected too
@@ -59,8 +58,10 @@ class OpticalChain:
             if abs(ratio[0] + ratio[1] - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1, got {ratio}")
             object.__setattr__(self, name, ratio)
-        for name in ("alice_attenuation_db", "bob_attenuation_db", "switch_crosstalk_db"):
-            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
+        _check_fields(
+            self, _check_nonnegative,
+            ("alice_attenuation_db", "bob_attenuation_db", "switch_crosstalk_db"),
+        )
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,15 @@ from .params import (
     DEFAULT_LOSS_DB_PER_KM,
     ChannelParams,
     DetectorParams,
+    _check_fields,
     _check_finite,
     _check_grid,
     _check_nonnegative,
     _check_positive,
     _check_probability,
+    _unfrozen_twin,
 )
-from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency, transmittance
+from .photon_stats import brp_empty_prob, total_efficiency, transmittance
 from .security import (
     SecurityReport,
     _eve_error_clamped,
@@ -350,11 +352,9 @@ def brp_intensity_bound(
     if eta_total <= 0.0:
         raise ValueError("total efficiency is zero; no intensity can be monitored")
 
-    target = budget * poisson_pmf(1, mu_s)
-    if budget >= 1.0 or target >= 1.0:
-        mu_b_min = 0.0
-    else:
-        mu_b_min = -math.log(target) / eta_total
+    # -ln(budget * p_1) term by term: the product itself underflows for bright
+    # signals (from mu_s about 708), and mu - ln mu >= 1 keeps this positive
+    mu_b_min = 0.0 if budget >= 1.0 else (mu_s - math.log(mu_s) - math.log(budget)) / eta_total
     return BrpBound(
         mu_b_min=mu_b_min,
         g_b0_at_bound=brp_empty_prob(mu_b_min, eta_total),
@@ -424,8 +424,7 @@ class SweepGrid:
     loss_db_per_km: float = DEFAULT_LOSS_DB_PER_KM
 
     def __post_init__(self) -> None:
-        for name in ("mu_s_values", "length_values_km"):
-            object.__setattr__(self, name, _check_grid(name, getattr(self, name)))
+        _check_fields(self, _check_grid, ("mu_s_values", "length_values_km"))
 
 
 _SWEEP_ROW_FIELDS = [
@@ -436,13 +435,8 @@ SweepRow = make_dataclass("SweepRow", _SWEEP_ROW_FIELDS, frozen=True, slots=True
 SweepRow.__module__ = __name__
 SweepRow.__doc__ = """One grid point: the coordinates plus the flattened security report."""
 
-# The same slots, not frozen.  SweepRow.__init__ stores each of its 16
-# fields through object.__setattr__, which costs more per row than the
-# model does; this class's __init__ stores them directly (about 5x
-# faster), and CPython lets a row switch __class__ between two classes of
-# the same slot layout.  sweep builds its rows this way; a switched row is
-# a SweepRow in every respect (type, equality, hash, frozenness, pickling).
-_OpenSweepRow = make_dataclass("_OpenSweepRow", _SWEEP_ROW_FIELDS, slots=True)
+# sweep builds its rows through this twin (see params._unfrozen_twin)
+_UnfrozenSweepRow = _unfrozen_twin(SweepRow)
 
 
 def sweep(grid: SweepGrid) -> list[SweepRow]:
@@ -460,7 +454,7 @@ def sweep(grid: SweepGrid) -> list[SweepRow]:
     rows = []
     for mu_s in mu_values:
         for length_km, eta_total in zip(lengths, eta_totals):
-            row = _OpenSweepRow(mu_s, length_km, *_report(mu_s, eta_total, det))
+            row = _UnfrozenSweepRow(mu_s, length_km, *_report(mu_s, eta_total, det))
             row.__class__ = SweepRow
             rows.append(row)
     return rows

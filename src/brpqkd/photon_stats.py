@@ -27,26 +27,67 @@ __all__ = [
 ]
 
 # Above this the direct factorial form risks overflow / catastrophic
-# rounding, so the pmf is evaluated as exp(n ln mu - mu - ln n!).
-_LOG_FORM_CUTOFF = 20
+# rounding, so the pmf is evaluated in Loader's saddle-point form.
+_SADDLE_POINT_CUTOFF = 20
+
+# Past this photon number ln n! leaves the float range (lgamma overflows
+# from about 2.55998e305), and the pmf is answered as 0: its value in
+# double unless mu lies within some 30 sqrt(n) of n.
+_PMF_ZERO_ABOVE = 2.56e305
+
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: float) -> float:
+    # ln n! - ln(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, for n >= 1;
+    # below 16 the difference of lgamma and the Stirling terms, with an absolute
+    # error of a few 1e-15, and from 16 five terms of the asymptotic series,
+    # whose next term is below 1.1e-16 there
+    if n < 16.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mu: float) -> float:
+    # x ln(x / mu) + mu - x, the deviance term, without its cancellation for x near mu:
+    # there it is summed as the series 2x (v^3/3 + v^5/5 + ...) + (x - mu) v, v = (x-mu)/(x+mu)
+    if abs(x - mu) < 0.1 * (x + mu):
+        v = (x - mu) / (x + mu)
+        total = (x - mu) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 3
+        while True:
+            term *= v
+            updated = total + term / j
+            if updated == total:
+                return total
+            total = updated
+            j += 2
+    return x * math.log(x / mu) + mu - x
 
 
 def poisson_pmf(n: int, mu: float) -> float:
-    """Probability that a pulse of mean photon number ``mu`` carries ``n`` photons."""
+    """Probability that a pulse of mean photon number ``mu`` carries ``n`` photons.
+
+    Beyond 20 photons or a mean of 20 this is Loader's saddle-point form,
+    ``exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n)``, which keeps full
+    relative precision where ``n`` and ``mu`` are large and close.
+    """
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     mu = _check_nonnegative("mu", mu)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0
-    if n > _LOG_FORM_CUTOFF or mu > _LOG_FORM_CUTOFF:
-        try:
-            log_n_factorial = math.lgamma(n + 1)
-        except OverflowError:
-            # n, or ln n!, past the float range: the pmf is 0 in double there unless
-            # mu lies within a few sqrt(n) of n, which this log form cannot resolve anyway
+    if n > _SADDLE_POINT_CUTOFF or mu > _SADDLE_POINT_CUTOFF:
+        if n == 0:
+            return math.exp(-mu)
+        if n > _PMF_ZERO_ABOVE:
             return 0.0
-        return math.exp(n * math.log(mu) - mu - log_n_factorial)
+        x = float(n)
+        return math.exp(-_stirlerr(x) - _bd0(x, mu)) / math.sqrt(2.0 * math.pi * x)
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 

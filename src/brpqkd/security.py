@@ -41,6 +41,7 @@ from .params import (
     SourceParams,
     _check_positive,
     _check_probability,
+    _unfrozen_twin,
 )
 from .photon_stats import total_efficiency
 
@@ -288,6 +289,10 @@ class SecurityReport:
     d_eve_clamped: bool
 
 
+# evaluate_point builds its report through this twin (see params._unfrozen_twin)
+_UnfrozenReport = _unfrozen_twin(SecurityReport)
+
+
 def evaluate_point(
     source: SourceParams, channel: ChannelParams, det: DetectorParams
 ) -> SecurityReport:
@@ -296,7 +301,9 @@ def evaluate_point(
     The point is secure iff the sifted information rate of the receiver
     strictly exceeds the eavesdropper bound, ``r_s > 0``.
     """
-    return SecurityReport(*_report(source.mu_s, total_efficiency(channel, det), det))
+    report = _UnfrozenReport(*_report(source.mu_s, total_efficiency(channel, det), det))
+    report.__class__ = SecurityReport
+    return report
 
 
 def security_margin(

@@ -213,6 +213,15 @@ def test_brp_intensity_bound_at_unit_transmittance():
     assert bound.mu_b_min == pytest.approx(8.101, abs=5e-4)
 
 
+@pytest.mark.parametrize("mu_s", [708.5, 742.0, 800.0, 1000.0, 1e6])
+def test_brp_intensity_bound_answers_where_the_target_underflows(mu_s):
+    # budget * p_1(mu_s) is subnormal from mu_s about 708 and 0 from about 743
+    bound = brp_intensity_bound(mu_s, ChannelParams(length_km=50.0), GYS_DETECTOR)
+    assert math.isfinite(bound.mu_b_min)
+    assert bound.mu_b_min == pytest.approx(_mp_mu_b_min(mu_s, 50), rel=1e-12)
+    assert 0.0 <= bound.g_b0_at_bound < 1e-300
+
+
 def test_brp_intensity_bound_vacuous_budget():
     # a suppressed fraction cannot exceed one, so budget >= 1 constrains nothing
     bound = brp_intensity_bound(0.05, ChannelParams(length_km=50.0), GYS_DETECTOR, budget=1.0)

@@ -64,6 +64,36 @@ def test_poisson_pmf_branches_agree_near_cutoff():
             assert poisson_pmf(n, mu) == pytest.approx(float(_mp_pmf(n, mu)), rel=1e-12)
 
 
+def _mp_log_pmf(n, mu):
+    # n and mu exactly as given (ints and floats convert to mpf exactly)
+    n, mu = mp.mpf(n), mp.mpf(mu)
+    return n * mp.log(mu) - mu - mp.loggamma(n + 1)
+
+
+# (n, mu) near each other (within about sqrt(n)) and far apart (tens of sqrt(n),
+# or a large factor, where the pmf is still a normal float)
+_PMF_POINTS = [
+    (21, 21.0), (21, 25.0), (21, 2.5), (21, 120.0),
+    (100, 100.0), (100, 109.5), (100, 20.5), (100, 300.0),
+    (10**6, 1e6), (10**6, 1e6 - 1000.0), (10**6, 9.7e5), (10**6, 1.03e6),
+    (10**15, 1e15), (10**15, 1e15 + 3e7), (10**15, 1e15 - 9e8), (10**15, 1e15 + 9e8),
+    (10**20, 1e20), (10**20, 1e20 + 1e10), (10**20, 1e20 - 3e11), (10**20, 1e20 + 3e11),
+    (1, 600.0), (15, 40.0), (16, 40.0),
+]
+
+
+@pytest.mark.parametrize("n, mu", _PMF_POINTS)
+def test_poisson_pmf_keeps_full_precision_for_large_close_arguments(n, mu):
+    # the saddle-point form has no cancellation between n ln mu, mu and ln n!
+    mp.dps = 80
+    try:
+        expected = mp.exp(_mp_log_pmf(n, mu))
+    finally:
+        mp.dps = 50
+    assert float(expected) > 1e-300
+    assert abs(poisson_pmf(n, mu) - expected) <= 1e-12 * expected
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 5.0, 20.5, 100.0, 1000.0, 2.0e5])
 def test_poisson_pmf_normalizes(mu):
     n_max = math.ceil(mu + 12.0 * math.sqrt(mu + 1.0))
@@ -87,6 +117,8 @@ def test_photon_numbers_beyond_the_float_range_answer():
     assert poisson_pmf(10**400, 1e300) == 0.0
     assert poisson_pmf(10**306, 0.5) == 0.0  # ln n! overflows here
     assert poisson_pmf(10**306, 1e300) == 0.0
+    # below that cut-off the pmf is answered, about 1/sqrt(2 pi n) at mu = n
+    assert poisson_pmf(10**305, 1e305) == pytest.approx(1 / math.sqrt(2e305 * math.pi), rel=1e-12)
     assert detect_prob(10**400, 0.5) == 1.0
     assert detect_prob(10**400, 5e-324) == 1.0
     assert detect_prob(10**400, 0.0) == 0.0
