@@ -4,89 +4,27 @@ The package is layered: photon statistics at the bottom, the analytic
 security model on top of that, then searches/sweeps, a pulse-level Monte
 Carlo validator, an optical-chain link budget, and a CLI that fronts the
 lot (``brp-qkd``).
+
+Each layer's ``__all__`` is the only list of its public names; the
+package re-exports them all, in this order.
 """
 
-from .params import (
-    ChannelParams,
-    DEFAULT_LOSS_DB_PER_KM,
-    DetectorParams,
-    GYS_DETECTOR,
-    IDEAL_DETECTOR,
-    SourceParams,
-)
-from .photon_stats import brp_empty_prob, channel_transmittance, detect_prob, poisson_pmf
-from .security import (
-    SecurityReport,
-    UndefinedPointError,
-    YieldPair,
-    binary_entropy,
-    bob_error_rate,
-    evaluate_point,
-    eve_error_rate,
-    eve_info_multi,
-    eve_info_single,
-    mutual_info_ab,
-    yields,
-)
-from .optimize import (
-    BrpBound,
-    DisturbanceBound,
-    IDEAL_SOURCE,
-    MultipleCrossingsError,
-    OptimalIntensity,
-    SecureDistance,
-    SweepGrid,
-    SweepRow,
-    brp_intensity_bound,
-    disturbance_bound,
-    disturbance_tradeoff,
-    optimal_signal_intensity,
-    secure_distance,
-    sweep,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    EvePolicy,
-    McComparison,
-    McConfig,
-    McCounts,
-    McResult,
-    compare_with_model,
-    derive_stream,
-    simulate,
-    simulate_attack,
-)
-from .linkbudget import (
-    LinkBudgetReport,
-    OpticalChain,
-    afterpulse_error,
-    crosstalk_false_click,
-    propagate,
-)
+from . import params, photon_stats, security, optimize, montecarlo, linkbudget
+from .params import *
+from .photon_stats import *
+from .security import *
+from .optimize import *
+from .montecarlo import *
+from .linkbudget import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # params
-    "SourceParams", "ChannelParams", "DetectorParams",
-    "GYS_DETECTOR", "IDEAL_DETECTOR", "DEFAULT_LOSS_DB_PER_KM",
-    # photon statistics
-    "poisson_pmf", "detect_prob", "channel_transmittance", "brp_empty_prob",
-    # security model
-    "UndefinedPointError", "YieldPair", "SecurityReport",
-    "binary_entropy", "mutual_info_ab", "yields",
-    "eve_info_multi", "eve_error_rate", "eve_info_single",
-    "bob_error_rate", "evaluate_point",
-    # optimization
-    "SecureDistance", "OptimalIntensity", "BrpBound", "DisturbanceBound",
-    "SweepGrid", "SweepRow", "MultipleCrossingsError", "IDEAL_SOURCE",
-    "secure_distance", "optimal_signal_intensity", "brp_intensity_bound",
-    "disturbance_tradeoff", "disturbance_bound", "sweep",
-    # monte carlo
-    "BLOCK_SIZE", "EvePolicy", "McConfig", "McCounts", "McResult", "McComparison",
-    "derive_stream", "simulate", "simulate_attack", "compare_with_model",
-    # link budget
-    "OpticalChain", "LinkBudgetReport", "propagate",
-    "afterpulse_error", "crosstalk_false_click",
+    *params.__all__,
+    *photon_stats.__all__,
+    *security.__all__,
+    *optimize.__all__,
+    *montecarlo.__all__,
+    *linkbudget.__all__,
 ]

@@ -63,7 +63,7 @@ _MC_Z_LIMIT = 4.0
 _MC_MIN_PULSES = 10_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, config keys or parameter values; maps to exit code 2."""
 
 
@@ -455,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _build_config(args)
         return args.handler(config, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -272,15 +272,6 @@ def optimal_signal_intensity(
     distances = [evaluated[mu].distance_km for mu in mu_values]
     best_index = max(range(len(mu_values)), key=distances.__getitem__)
 
-    if len(mu_values) == 1:
-        only = evaluated[mu_values[0]]
-        return OptimalIntensity(
-            mu_s_star=mu_values[0],
-            distance_km=only.distance_km,
-            plateau=False,
-            unbounded=only.unbounded,
-        )
-
     # contiguous run around the maximum that the 0.01 km resolution cannot split
     d_max = distances[best_index]
     lo_i = best_index
@@ -343,7 +334,8 @@ def brp_intensity_bound(
     ``budget`` times the single-photon emission probability:
     ``mu_b_min = -ln(budget * p_1(mu_s)) / (eta_t * eta_d)``.  A budget
     of one (or more) tolerates suppression of every single-photon pulse
-    and constrains nothing, so the bound collapses to zero.
+    and constrains nothing, so the bound collapses to zero.  A link so
+    long that the bound exceeds the float range raises ``ValueError``.
     """
     # +inf passes the > 0 rule, but p_1(mu_s) has no bound to give there
     mu_s = _check_finite("mu_s", _check_positive("mu_s", mu_s))
@@ -355,6 +347,11 @@ def brp_intensity_bound(
     # -ln(budget * p_1) term by term: the product itself underflows for bright
     # signals (from mu_s about 708), and mu - ln mu >= 1 keeps this positive
     mu_b_min = 0.0 if budget >= 1.0 else (mu_s - math.log(mu_s) - math.log(budget)) / eta_total
+    if not math.isfinite(mu_b_min):
+        raise ValueError(
+            f"total efficiency {eta_total!r} at {channel.length_km!r} km is so small "
+            "that the bright-pulse bound exceeds the float range"
+        )
     return BrpBound(
         mu_b_min=mu_b_min,
         g_b0_at_bound=brp_empty_prob(mu_b_min, eta_total),

@@ -307,6 +307,19 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert record["length_km"] == 100.0
 
 
+def test_config_file_skips_comments_and_rejects_a_line_without_a_pair(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("# a comment-only line\nlength_km = 50\nlength_km 60\n")
+    code, out, err = _run(capsys, "evaluate", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}:3: expected 'key = value', got 'length_km 60'\n"
+
+
+def test_single_point_commands_reject_an_intensity_list(capsys):
+    code, out, err = _run(capsys, "evaluate", "--mu-s", "0.1,0.2")
+    assert (code, out, err) == (2, "", "error: evaluate takes a single --mu-s value, got 2\n")
+
+
 def test_missing_config_file(capsys, tmp_path):
     code, out, err = _run(
         capsys, "evaluate", "--config", str(tmp_path / "absent.cfg")

@@ -8,6 +8,8 @@ read here.
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,22 @@ def test_cli_output_matches_golden_bytes(name):
         code = main(list(entry["argv"]))
     assert code == entry["exit"]
     assert buffer.getvalue().encode("utf-8") == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_cli_output_file_matches_golden_bytes(name, tmp_path, capsys):
+    entry = MANIFEST[name]
+    path = tmp_path / f"{name}.out"
+    code = main([*entry["argv"], "--out", str(path)])
+    assert code == entry["exit"]
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+def test_python_dash_m_matches_golden_bytes():
+    entry = MANIFEST["evaluate_ideal_csv"]
+    done = subprocess.run(
+        [sys.executable, "-m", "brpqkd", *entry["argv"]], capture_output=True
+    )
+    expected = (GOLDEN_DIR / "evaluate_ideal_csv.out").read_bytes()
+    assert (done.returncode, done.stdout, done.stderr) == (entry["exit"], expected, b"")

@@ -71,6 +71,16 @@ def test_degenerate_source_yields_nothing():
     assert result.counts.clicks == 0
 
 
+def test_compare_with_model_without_signal_photons():
+    # mu_s = 0 emits no single photons and, with no dark counts, expects no
+    # clicks: y_1's target is 0, and there is no error rate to compare
+    det = DetectorParams(eta_d=0.045, y0=0.0, e_detector=0.033)
+    config = _config(mu_s=0.0, det=det, n_pulses=200_000)
+    rows = {row.name: row for row in compare_with_model(config, simulate(config))}
+    assert list(rows) == ["y_exp", "y_1", "g_b0"]
+    assert rows["y_1"] == ("y_1", 0.0, 0.0, 0.0, 0.0)
+
+
 def test_bright_source_lossless_link():
     # mean 10 exercises the generator's high-mean path
     det = DetectorParams(eta_d=1.0, y0=0.0, e_detector=0.0)

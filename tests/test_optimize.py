@@ -222,6 +222,15 @@ def test_brp_intensity_bound_answers_where_the_target_underflows(mu_s):
     assert 0.0 <= bound.g_b0_at_bound < 1e-300
 
 
+def test_brp_intensity_bound_beyond_the_float_range_names_the_link():
+    # the total efficiency is subnormal at 14900 km, so the bound overflows
+    with pytest.raises(ValueError) as info:
+        brp_intensity_bound(0.5, ChannelParams(length_km=14900.0), GYS_DETECTOR)
+    message = str(info.value)
+    assert message.startswith("total efficiency 5.66516435e-315 at 14900.0 km ")
+    assert message.endswith("the bright-pulse bound exceeds the float range")
+
+
 def test_brp_intensity_bound_vacuous_budget():
     # a suppressed fraction cannot exceed one, so budget >= 1 constrains nothing
     bound = brp_intensity_bound(0.05, ChannelParams(length_km=50.0), GYS_DETECTOR, budget=1.0)
@@ -449,6 +458,14 @@ def test_an_infinite_intensity_is_rejected_by_the_brp_bound_naming_mu_s(mu_s):
     # the > 0 rule lets +inf through elsewhere, but this bound has no value there
     with pytest.raises(ValueError, match=r"^mu_s must be finite, got inf$"):
         brp_intensity_bound(mu_s, _LINK, GYS_DETECTOR)
+
+
+def test_a_reach_that_starts_insecure_is_not_a_reach_question():
+    # one sign change, from insecure at 0 km to secure from 100 km on
+    flags = np.arange(len(brpqkd.optimize._SCAN_GRID_KM)) >= 100
+    with pytest.raises(MultipleCrossingsError) as info:
+        brpqkd.optimize._reach(0.5, flags, GYS_DETECTOR, 0.21)
+    assert info.value.crossings == ((99.0, 100.0),)
 
 
 @pytest.mark.parametrize("loss", [1.7e305, 1e306, 1e308])
