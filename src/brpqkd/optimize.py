@@ -14,9 +14,11 @@ plus a plain grid :func:`sweep` for plotting.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, fields, make_dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -81,6 +83,16 @@ _SCAN_GRID_KM.flags.writeable = False
 # and 19 rows cost 13 us each, so the limit is the allocator, not the cache
 # (2 vCPU, Python 3.11.7, numpy 2.4.6, faults from getrusage's ru_minflt).
 _SCAN_BLOCK_ROWS = 6
+
+# Reaches found so far, by (checked mu_s, detector, checked loss): a planner asks
+# about the same few detectors and fibres again and again, and a default plan
+# repeats some 31 reaches.  Only found reaches are stored, never an exception,
+# and the memo is emptied when it holds _REACH_MEMO_SIZE of them.  A call keeps
+# what it found in locals, so a clear from another thread cannot lose it, and
+# reads take no lock: only the check-and-insert of _remember does.
+_REACH_MEMO_SIZE = 4096
+_reach_memo: dict[tuple[float, DetectorParams, float], SecureDistance] = {}
+_reach_memo_lock = threading.Lock()
 
 # Sentinel intensity: every pulse carries exactly one photon.
 IDEAL_SOURCE = "ideal"
@@ -149,22 +161,42 @@ def secure_distance(
     change down to 0.01 km with the scalar instance of the same formulas
     (the kernel behind :func:`brpqkd.security.evaluate_point`) and
     returns the largest length that evaluated secure there.  Inputs are
-    validated once, on entry.  A margin that never goes negative
+    validated once, on entry, and a reach already found for the same
+    intensity, detector and loss is answered from a bounded memo, bit
+    for bit as scanned.  A margin that never goes negative
     returns the cap with ``unbounded=True``; one that is never positive
     returns 0.  A margin with several sign changes on the grid raises
     :class:`MultipleCrossingsError` listing every crossing bracket.
     """
     mu_s = _check_nonnegative("mu_s", mu_s)
-    loss, eta_total = _scan_efficiencies(det, loss_db_per_km)
-    return _reach(mu_s, security_margin(mu_s, eta_total, det) > 0.0, det, loss)
-
-
-def _scan_efficiencies(det: DetectorParams, loss_db_per_km: float) -> tuple[float, np.ndarray]:
-    # the checked loss, and the total efficiency at each length of the scan grid;
-    # as on the scalar path, a huge loss overflows to a zero transmittance
     loss = _check_nonnegative("loss_db_per_km", loss_db_per_km)
+    return _memo_reach(mu_s, det, loss, functools.partial(_scan_efficiencies, det, loss))
+
+
+def _scan_efficiencies(det: DetectorParams, loss: float) -> np.ndarray:
+    # the total efficiency at each length of the scan grid, for a checked loss;
+    # as on the scalar path, a huge loss overflows to a zero transmittance
     with np.errstate(over="ignore"):
-        return loss, transmittance(_SCAN_GRID_KM, loss) * det.eta_d
+        return transmittance(_SCAN_GRID_KM, loss) * det.eta_d
+
+
+def _remember(key: tuple[float, DetectorParams, float], found: SecureDistance) -> None:
+    with _reach_memo_lock:
+        if len(_reach_memo) >= _REACH_MEMO_SIZE:
+            _reach_memo.clear()
+        _reach_memo[key] = found
+
+
+def _memo_reach(
+    mu_s: float, det: DetectorParams, loss: float, efficiencies: Callable[[], np.ndarray]
+) -> SecureDistance:
+    """Reach of one checked intensity, from the memo or scanned on ``efficiencies()``."""
+    key = (mu_s, det, loss)
+    found = _reach_memo.get(key)
+    if found is None:
+        found = _reach(mu_s, security_margin(mu_s, efficiencies(), det) > 0.0, det, loss)
+        _remember(key, found)
+    return found
 
 
 def _reach(
@@ -202,22 +234,30 @@ def _reach(
 
 
 def _grid_reaches(
-    mu_values: Sequence[float], eta_total: np.ndarray, det: DetectorParams, loss: float
+    mu_values: Sequence[float],
+    det: DetectorParams,
+    loss: float,
+    efficiencies: Callable[[], np.ndarray],
 ) -> list[SecureDistance]:
     """Reach of each checked intensity of an increasing grid, in order.
 
-    The intensities are scanned :data:`_SCAN_BLOCK_ROWS` at a time, and
-    the search raises what :func:`secure_distance` raises at the first
-    intensity that fails.  Only an intensity whose product with the
-    smallest efficiency underflows expects no clicks, so such intensities
-    lead the grid: the no-clicks error of a block is the one its first
-    row raises alone.
+    Reaches the memo holds are taken from it.  The others are scanned
+    on ``efficiencies()``, :data:`_SCAN_BLOCK_ROWS` at a time in
+    increasing order, and the search raises what :func:`secure_distance`
+    raises at the first intensity that fails (the memo holds no failing
+    one).  Only an intensity whose product with the smallest efficiency
+    underflows expects no clicks, so such intensities lead the grid: the
+    no-clicks error of a block is the one its first row raises alone.
     """
-    reaches = []
-    for start in range(0, len(mu_values), _SCAN_BLOCK_ROWS):
-        block = mu_values[start:start + _SCAN_BLOCK_ROWS]
-        rows = security_margin(block, eta_total, det) > 0.0
-        reaches.extend(_reach(mu, flags, det, loss) for mu, flags in zip(block, rows))
+    keys = [(mu, det, loss) for mu in mu_values]
+    reaches = list(map(_reach_memo.get, keys))
+    missing = [i for i, found in enumerate(reaches) if found is None]
+    for start in range(0, len(missing), _SCAN_BLOCK_ROWS):
+        block = missing[start:start + _SCAN_BLOCK_ROWS]
+        rows = security_margin([mu_values[i] for i in block], efficiencies(), det) > 0.0
+        for i, flags in zip(block, rows):
+            reaches[i] = found = _reach(mu_values[i], flags, det, loss)
+            _remember(keys[i], found)
     return reaches
 
 
@@ -246,7 +286,9 @@ def optimal_signal_intensity(
 
     Each reach is the one :func:`secure_distance` gives, and a search
     that fails raises what ``secure_distance`` raises at the first grid
-    value that fails.  The grid values are scanned a block at a time.
+    value that fails.  The grid values are scanned a block at a time,
+    and reaches that :func:`secure_distance` or an earlier search found
+    for the same detector and loss are taken from its memo.
     """
     mu_values = _check_grid("intensity grid", grid)
 
@@ -254,19 +296,17 @@ def optimal_signal_intensity(
     checked, invalid = _leading_intensities(mu_values)
     if not checked:
         raise invalid
-    loss, eta_total = _scan_efficiencies(det, loss_db_per_km)
-    evaluated = dict(zip(checked, _grid_reaches(checked, eta_total, det, loss)))
+    loss = _check_nonnegative("loss_db_per_km", loss_db_per_km)
+    # the scan grid's efficiencies, built once and only if some reach is not memoized
+    efficiencies = functools.cache(functools.partial(_scan_efficiencies, det, loss))
+    evaluated = dict(zip(checked, _grid_reaches(checked, det, loss, efficiencies)))
     if invalid is not None:
         raise invalid
-
-    def scan(mu: float) -> SecureDistance:
-        # secure_distance past its checks, on this search's efficiencies
-        return _reach(mu, security_margin(mu, eta_total, det) > 0.0, det, loss)
 
     def reach(mu: float) -> float:
         # probes lie between checked grid values, so they are valid intensities
         if mu not in evaluated:
-            evaluated[mu] = scan(mu)
+            evaluated[mu] = _memo_reach(mu, det, loss, efficiencies)
         return evaluated[mu].distance_km
 
     distances = [evaluated[mu].distance_km for mu in mu_values]
@@ -283,7 +323,7 @@ def optimal_signal_intensity(
     if hi_i - lo_i >= 2:
         # the midpoint of two huge intensities can overflow, so it is checked
         mid = _check_nonnegative("mu_s", 0.5 * (mu_values[lo_i] + mu_values[hi_i]))
-        at_mid = scan(mid)
+        at_mid = _memo_reach(mid, det, loss, efficiencies)
         return OptimalIntensity(
             mu_s_star=mid,
             distance_km=at_mid.distance_km,
@@ -299,7 +339,7 @@ def optimal_signal_intensity(
     # only if c's row does too, and the block raises what reach(c) and then
     # reach(d) would (see _grid_reaches)
     fresh = [mu for mu in (c, d) if mu not in evaluated]
-    evaluated.update(zip(fresh, _grid_reaches(fresh, eta_total, det, loss)))
+    evaluated.update(zip(fresh, _grid_reaches(fresh, det, loss, efficiencies)))
     f_c, f_d = evaluated[c].distance_km, evaluated[d].distance_km
     while b - a > _MU_TOL:
         if f_c < f_d:

@@ -30,10 +30,10 @@ __all__ = [
 # rounding, so the pmf is evaluated in Loader's saddle-point form.
 _SADDLE_POINT_CUTOFF = 20
 
-# Past this photon number ln n! leaves the float range (lgamma overflows
-# from about 2.55998e305), and the pmf is answered as 0: its value in
-# double unless mu lies within some 30 sqrt(n) of n.
-_PMF_ZERO_ABOVE = 2.56e305
+# Past this photon number 2 pi n leaves the float range (from about 2.86e307),
+# and the pmf is answered as 0: its value in double unless mu lies within some
+# 30 sqrt(n) of n.
+_PMF_ZERO_ABOVE = 2.8e307
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -51,8 +51,9 @@ def _stirlerr(n: float) -> float:
 
 def _bd0(x: float, mu: float) -> float:
     # x ln(x / mu) + mu - x, the deviance term, without its cancellation for x near mu:
-    # there it is summed as the series 2x (v^3/3 + v^5/5 + ...) + (x - mu) v, v = (x-mu)/(x+mu)
-    if abs(x - mu) < 0.1 * (x + mu):
+    # there it is summed as the series 2x (v^3/3 + v^5/5 + ...) + (x - mu) v, v = (x-mu)/(x+mu);
+    # the test takes x + mu halved, which is exact and cannot overflow for a huge mean
+    if abs(x - mu) < 0.2 * (0.5 * x + 0.5 * mu):
         v = (x - mu) / (x + mu)
         total = (x - mu) * v
         term = 2.0 * x * v

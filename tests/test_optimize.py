@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import sys
+import threading
 from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from brpqkd import (
     IDEAL_DETECTOR,
     IDEAL_SOURCE,
     MultipleCrossingsError,
+    SecureDistance,
     SourceParams,
     SweepGrid,
     SweepRow,
@@ -630,3 +633,184 @@ def test_optimal_intensity_equals_per_intensity_secure_distance_anywhere(grid, d
     det = _search_detectors()[det_index]
     assert (_outcome(optimal_signal_intensity, det, loss, grid)
             == _outcome(_reference_optimum, det, loss, grid))
+
+
+# --- the reach memo ---------------------------------------------------------
+
+
+def _memo_battery():
+    # both presets and four GYS-like detectors, three losses, the default and an edge grid
+    rng = np.random.default_rng(1616)
+    gys_like = [
+        DetectorParams(
+            eta_d=float(GYS_DETECTOR.eta_d * rng.uniform(0.7, 1.3)),
+            y0=float(GYS_DETECTOR.y0 * rng.uniform(0.5, 2.0)),
+            e_detector=float(GYS_DETECTOR.e_detector * rng.uniform(0.7, 1.3)),
+        )
+        for _ in range(4)
+    ]
+    return [
+        (det, loss, grid)
+        for det in [GYS_DETECTOR, IDEAL_DETECTOR, *gys_like]
+        for loss in (0.17, 0.21, 0.25)
+        for grid in (_GRID19, [0.1, 0.2])
+    ]
+
+
+def _battery_answers(empty_first):
+    answers = []
+    for det, loss, grid in _memo_battery():
+        if empty_first:
+            brpqkd.optimize._reach_memo.clear()
+        answers.append(_outcome(optimal_signal_intensity, det, loss, grid))
+        for mu in grid:
+            if empty_first:
+                brpqkd.optimize._reach_memo.clear()
+            answers.append(tuple(secure_distance(mu, det, loss)))
+    return answers
+
+
+def test_remembered_reaches_equal_scanned_ones():
+    cold = _battery_answers(empty_first=True)
+    _battery_answers(empty_first=False)  # fill the memo with every reach of the battery
+    assert _battery_answers(empty_first=False) == cold
+    assert len(cold) == 18 * (1 + 19) + 18 * (1 + 2)
+    # the headline reach, scanned and then remembered
+    brpqkd.optimize._reach_memo.clear()
+    assert tuple(secure_distance(0.5, GYS_DETECTOR, 0.21)) == (146.2578125, False)
+    assert tuple(secure_distance(0.5, GYS_DETECTOR, 0.21)) == (146.2578125, False)
+
+
+def _counting_margin_calls(monkeypatch):
+    rows = []
+
+    def counting(mu_s, eta_total, det):
+        rows.append(len(mu_s) if np.ndim(mu_s) else 1)
+        return security_margin(mu_s, eta_total, det)
+
+    monkeypatch.setattr(brpqkd.optimize, "security_margin", counting)
+    return rows
+
+
+def test_a_warm_default_plan_scans_nothing(monkeypatch):
+    cold = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
+    rows = _counting_margin_calls(monkeypatch)
+    assert optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19) == cold
+    # a detector equal by value shares the reaches, and so does secure_distance
+    twin = DetectorParams(eta_d=0.045, y0=1.7e-6, e_detector=0.033)
+    assert optimal_signal_intensity(twin, 0.21, _GRID19) == cold
+    assert secure_distance(cold.mu_s_star, twin, 0.21).distance_km == cold.distance_km
+    assert rows == []
+    # another loss is another question
+    optimal_signal_intensity(GYS_DETECTOR, 0.22, _GRID19)
+    assert rows[:5] == [6, 6, 6, 1, 2]
+
+
+def test_a_plan_scans_only_the_grid_values_it_has_not_seen(monkeypatch):
+    for mu in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4):
+        secure_distance(mu, GYS_DETECTOR, 0.21)
+    rows = _counting_margin_calls(monkeypatch)
+    best = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
+    # the other 12 grid values six at a time, then the probes as before
+    assert rows == [6, 6, 2] + [1] * 10
+    assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: secure_distance(0.0, GYS_DETECTOR, 0.21),  # mu_s = 0 expects no clicks
+        lambda: optimal_signal_intensity(GYS_DETECTOR, 0.21, [0.0, 0.5]),
+        lambda: optimal_signal_intensity(GYS_DETECTOR, 0.21, [-0.5, 0.5]),
+        lambda: optimal_signal_intensity(GYS_DETECTOR, 0.21, [0.5, 0.7, math.nan]),
+        lambda: secure_distance(0.5, GYS_DETECTOR, -0.1),
+    ],
+)
+def test_a_failing_search_fails_alike_the_second_time(search):
+    first = _raised(search)
+    assert _raised(search) == first
+    # the valid grid values before a bad one are found, and none is an exception
+    assert all(type(found) is SecureDistance for found in brpqkd.optimize._reach_memo.values())
+
+
+def test_a_patched_crossing_error_is_raised_again_not_remembered(monkeypatch):
+    def alternating(mu_s, eta_total, det):
+        # as in test_secure_distance_reports_multiple_crossings, one row per intensity
+        band = np.arange(len(eta_total)) // 100
+        row = np.where(np.isin(band, (0, 2)), 1.0, -1.0)
+        return np.tile(row, (len(mu_s), 1)) if np.ndim(mu_s) else row
+
+    monkeypatch.setattr(brpqkd.optimize, "security_margin", alternating)
+    first = _raised(lambda: secure_distance(0.5, GYS_DETECTOR, 0.21))
+    assert first[0] is MultipleCrossingsError
+    assert _raised(lambda: secure_distance(0.5, GYS_DETECTOR, 0.21)) == first
+    plan = lambda: optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
+    assert _raised(plan) == _raised(plan) == first
+    assert brpqkd.optimize._reach_memo == {}
+
+
+def test_the_memo_holds_no_more_than_its_bound():
+    bound = brpqkd.optimize._REACH_MEMO_SIZE
+    memo = brpqkd.optimize._reach_memo
+    sizes = []
+    for i in range(bound + 10):
+        secure_distance(0.3 + i * 1e-6, GYS_DETECTOR, 0.21)
+        sizes.append(len(memo))
+    assert max(sizes) == bound
+    # emptied when full, then filled again
+    assert sizes[bound] == 1 and sizes[-1] == 10
+
+
+def _thread_searches():
+    dets = [GYS_DETECTOR, _FAST, _DARK]
+    calls = []
+    for det in dets:
+        for loss in (0.19, 0.21):
+            calls.append(lambda det=det, loss=loss: optimal_signal_intensity(det, loss, _GRID19))
+            for mu in (0.2, 0.45, 0.8):
+                calls.append(lambda det=det, loss=loss, mu=mu: secure_distance(mu, det, loss))
+    return calls
+
+
+def test_threads_share_a_small_memo_safely(monkeypatch):
+    # more threads than cores, switching often, against a memo that is cleared
+    # every few inserts: no KeyError, the single-threaded answers, and the bound
+    calls = _thread_searches()
+    expected = [call() for call in calls]
+    monkeypatch.setattr(brpqkd.optimize, "_REACH_MEMO_SIZE", 8)
+    memo = brpqkd.optimize._reach_memo
+    memo.clear()
+    start = threading.Barrier(4)
+    answers, errors, sizes = {}, [], []
+
+    def work(name, order):
+        try:
+            start.wait(timeout=60)
+            found = []
+            for _ in range(3):
+                found.append([])
+                for i in order:
+                    found[-1].append(calls[i]())
+                    sizes.append(len(memo))
+            answers[name] = found
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    forward = list(range(len(calls)))
+    orders = {"forward": forward, "backward": forward[::-1],
+              "odd": forward[1::2] + forward[::2], "even": forward[::2] + forward[1::2]}
+    threads = [threading.Thread(target=work, args=item) for item in orders.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for name, order in orders.items():
+        assert answers[name] == [[expected[i] for i in order]] * 3
+    assert max(sizes) <= 8

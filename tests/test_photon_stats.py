@@ -115,13 +115,35 @@ def test_photon_numbers_beyond_the_float_range_answer():
     # n! swamps mu**n, and any efficiency above zero clicks on so many photons
     assert poisson_pmf(10**400, 0.5) == 0.0
     assert poisson_pmf(10**400, 1e300) == 0.0
-    assert poisson_pmf(10**306, 0.5) == 0.0  # ln n! overflows here
+    assert poisson_pmf(10**306, 0.5) == 0.0  # far from mu, the pmf underflows
     assert poisson_pmf(10**306, 1e300) == 0.0
-    # below that cut-off the pmf is answered, about 1/sqrt(2 pi n) at mu = n
+    # near mu = n the pmf is answered, about 1/sqrt(2 pi n)
     assert poisson_pmf(10**305, 1e305) == pytest.approx(1 / math.sqrt(2e305 * math.pi), rel=1e-12)
     assert detect_prob(10**400, 0.5) == 1.0
     assert detect_prob(10**400, 5e-324) == 1.0
     assert detect_prob(10**400, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("mu", [2.5e305, 1e306, 1e307, 2.8e307])
+def test_poisson_pmf_answers_past_the_lgamma_overflow(mu):
+    # ln n! overflows lgamma from about 2.56e305; the saddle-point form needs
+    # neither it nor x + mu, and answers until 2 pi n leaves the float range.
+    # n is the integer equal to the float mu, whose neighbours differ from it
+    # by far more than sqrt(n), so only mu = n itself has a pmf above zero
+    n = int(mu)
+    mp.dps = 400
+    try:
+        expected = mp.exp(_mp_log_pmf(n, mu))
+    finally:
+        mp.dps = 50
+    assert float(expected) > 1e-300
+    assert abs(poisson_pmf(n, mu) - expected) <= 1e-12 * expected
+
+
+def test_poisson_pmf_for_a_mean_near_the_float_maximum():
+    # x + mu overflows there; it must not pass for x near mu
+    assert poisson_pmf(10**305, 1.7976931348623157e308) == 0.0
+    assert poisson_pmf(10**305, 1.79e308) == 0.0
 
 
 def test_detect_prob_trivial_cases():
