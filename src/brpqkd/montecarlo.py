@@ -54,7 +54,7 @@ import numpy as np
 
 from .params import ChannelParams, DetectorParams, SourceParams, _check_integer, _check_probability
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
-from .security import UndefinedPointError, bob_error_rate, yields
+from .security import UndefinedPointError, _report, _yields
 
 __all__ = [
     "BLOCK_SIZE",
@@ -101,6 +101,11 @@ class EvePolicy:
             self, "suppress_fraction",
             _check_probability("suppress_fraction", self.suppress_fraction),
         )
+        # a truthy string such as "no" must not switch lossless forwarding on
+        forward = self.forward_multiphoton_lossless
+        if not isinstance(forward, (bool, np.bool_)):
+            raise ValueError(f"forward_multiphoton_lossless must be a bool, got {forward!r}")
+        object.__setattr__(self, "forward_multiphoton_lossless", bool(forward))
 
 
 @dataclass(frozen=True)
@@ -529,18 +534,16 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
 
     rows = []
     if config.eve.mode == "none":
-        pair = yields(config.source, eta_total)
-        rows.append(row("y_exp", result.est_y_exp, pair.y_exp,
-                        counts.photon_clicks, counts.pulses, pair.y_exp))
-        if config.source.mu_s > 0.0:
-            p_1 = poisson_pmf(1, config.source.mu_s)
-            click_given_single = pair.y_1 / p_1
-        else:
-            p_1, click_given_single = 0.0, 0.0
-        rows.append(row("y_1", result.est_y_1, pair.y_1, counts.single_emission_clicks,
+        y_exp, y_1 = _yields(config.source.mu_s, eta_total)
+        rows.append(row("y_exp", result.est_y_exp, y_exp,
+                        counts.photon_clicks, counts.pulses, y_exp))
+        # p_1 is 0 at mu_s = 0 and underflows to 0 from mu_s of about 751.6 on
+        p_1 = poisson_pmf(1, config.source.mu_s)
+        click_given_single = y_1 / p_1 if p_1 > 0.0 else 0.0
+        rows.append(row("y_1", result.est_y_1, y_1, counts.single_emission_clicks,
                         counts.single_emissions, click_given_single, p_1))
         try:
-            d_target = bob_error_rate(config.source, config.channel, config.det)
+            d_target = _report(config.source.mu_s, eta_total, config.det)[2]  # d_bob
         except UndefinedPointError:
             d_target = None  # no expected clicks, nothing to compare
         if d_target is not None:

@@ -1,10 +1,9 @@
 """Poisson photon-number statistics and the optical response built on them.
 
 Everything downstream (security model, Monte Carlo, link budget) reduces
-to four primitives: the photon-number distribution of an attenuated
-laser pulse, the click probability of a threshold detector exposed to a
-known photon number, fiber transmittance, and the probability that a
-bright reference pulse arrives empty.  The bright-pulse case is why the
+to three primitives: the photon-number distribution of an attenuated
+laser pulse, fiber transmittance, and the probability that a bright
+reference pulse arrives empty.  The bright-pulse case is why the
 probability mass function switches to log space: intensities around 1e5
 photons overflow the direct factorial form long before they stop being
 physically interesting.
@@ -19,7 +18,6 @@ from .params import ChannelParams, DetectorParams, _check_nonnegative, _check_pr
 
 __all__ = [
     "poisson_pmf",
-    "detect_prob",
     "transmittance",
     "channel_transmittance",
     "total_efficiency",
@@ -75,6 +73,11 @@ def poisson_pmf(n: int, mu: float) -> float:
     Beyond 20 photons or a mean of 20 this is Loader's saddle-point form,
     ``exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n)``, which keeps full
     relative precision where ``n`` and ``mu`` are large and close.
+
+    ``n`` may be an int of any size.  That form takes ``n`` as the nearest
+    double, so past 2^53 the answer is the pmf at that float, not at
+    ``n``; past 2.8e307 photons, where ``2 pi n`` leaves the float range,
+    the answer is 0.0.
     """
     n = operator.index(n)
     if n < 0:
@@ -90,32 +93,6 @@ def poisson_pmf(n: int, mu: float) -> float:
         x = float(n)
         return math.exp(-_stirlerr(x) - _bd0(x, mu)) / math.sqrt(2.0 * math.pi * x)
     return math.exp(-mu) * mu**n / math.factorial(n)
-
-
-def detect_prob(i: int, eta: float) -> float:
-    """Click probability of a threshold detector receiving ``i`` photons.
-
-    Each photon is detected independently with probability ``eta``; the
-    detector fires if at least one is.  For a single photon the result is
-    ``eta`` exactly, with no ``1 - (1 - eta)`` round trip.
-    """
-    i = operator.index(i)
-    if i < 0:
-        raise ValueError(f"photon number must be >= 0, got {i}")
-    eta = _check_probability("efficiency", eta)
-    if i == 0:
-        return 0.0
-    if i == 1:
-        return eta
-    if eta == 1.0:
-        return 1.0
-    try:
-        exponent = i * math.log1p(-eta)
-    except OverflowError:
-        # i beyond the float range: some photon clicks unless none can
-        return 1.0 if eta > 0.0 else 0.0
-    # 1 - (1-eta)^i evaluated without cancellation for small eta
-    return -math.expm1(exponent)
 
 
 def transmittance(length_km, loss_db_per_km):

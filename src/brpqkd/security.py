@@ -20,10 +20,11 @@ in the information rates is basis sifting.
 
 The formulas are written once, in :func:`_formulas`, over a small ops
 namespace.  Two instances share that body: one over ``math`` is the
-scalar kernel behind :func:`evaluate_point`, :func:`bob_error_rate`,
-the per-term functions and :func:`brpqkd.optimize.sweep`; one over
-numpy is :func:`security_margin`, which evaluates a whole array of
-efficiencies, for one intensity or a block of them, in one call.
+scalar kernel behind :func:`evaluate_point` and the searches of
+:mod:`brpqkd.optimize`; one over numpy is :func:`security_margin`,
+which evaluates a whole array of efficiencies, for one intensity or a
+block of them, in one call.  Each model term is a field of
+:class:`SecurityReport`.
 """
 
 from __future__ import annotations
@@ -31,31 +32,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .params import (
-    ChannelParams,
-    DetectorParams,
-    SourceParams,
-    _check_positive,
-    _check_probability,
-    _unfrozen_twin,
-)
+from .params import ChannelParams, DetectorParams, SourceParams, _unfrozen_twin
 from .photon_stats import total_efficiency
 
 __all__ = [
     "UndefinedPointError",
-    "YieldPair",
     "SecurityReport",
-    "binary_entropy",
-    "mutual_info_ab",
-    "yields",
-    "eve_info_multi",
-    "eve_error_rate",
-    "eve_info_single",
-    "bob_error_rate",
     "evaluate_point",
     "security_margin",
 ]
@@ -68,32 +54,15 @@ class UndefinedPointError(ValueError):
     """Raised where a conditional rate loses its denominator (no expected clicks)."""
 
 
-class YieldPair(NamedTuple):
-    """Expected click rate and the single-photon slice of it.
-
-    ``y_exp`` is the probability that a signal pulse causes a photon
-    click; ``y_1`` is the joint probability that the pulse carried
-    exactly one photon and that photon clicked.  ``0 <= y_1 <= y_exp``
-    always.
-    """
-
-    y_exp: float
-    y_1: float
-
-
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of a coin with bias ``x``, in bits."""
-    return _h2(_check_probability("probability", x))
-
-
 def _h2(x: float) -> float:
+    # Shannon entropy of a coin with bias x, in bits
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def _entropy(x: np.ndarray) -> np.ndarray:
-    # binary_entropy over an array; at zero the log2 of the smallest subnormal is
+    # _h2 over an array; at zero the log2 of the smallest subnormal is
     # -1074, which the zero factor cancels, so 0 log 0 = 0 with no masked log2
     # (a zero result may come out as -0.0, which the callers' 1 - h2 absorbs)
     y = 1.0 - x
@@ -141,9 +110,8 @@ def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
     it alike.  ``where(flags, a, b)`` picks per point, ``any_of(flags)``
     tells whether any point is flagged, and ``first_of(mu_s, eta_total,
     flags)`` gives the intensity and efficiency of the first flagged
-    point.  Returns the functions ``(yields, eve_error, info_multi,
-    info_single, report)``; inputs are trusted: ``mu_s >= 0`` and
-    ``eta_total`` in [0, 1].
+    point.  Returns the functions ``(yields, eve_error, info_single,
+    report)``; inputs are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].
     """
 
     def yields(mu_s, eta_total):
@@ -188,10 +156,10 @@ def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
         return (y_exp, y_1, d_bob, d_eve, i_ab, i_ae_multi, i_ae_single, i_ae,
                 r_bob, r_eve, r_s, r_s > 0.0, d_bob_clamped, d_eve_clamped)
 
-    return yields, eve_error, info_multi, info_single, report
+    return yields, eve_error, info_single, report
 
 
-_yields, _eve_error_clamped, _eve_info_multi, _eve_info_single, _report = _formulas(
+_yields, _eve_error_clamped, _eve_info_single, _report = _formulas(
     math.exp, math.expm1, math.sqrt, _h2, _clamp_half,
     lambda flag, a, b: a if flag else b, bool, lambda mu_s, eta_total, _: (mu_s, eta_total),
 )
@@ -201,71 +169,18 @@ _yields, _eve_error_clamped, _eve_info_multi, _eve_info_single, _report = _formu
 )
 
 
-def mutual_info_ab(d: float) -> float:
-    """Per-bit information shared over a binary symmetric channel with error rate ``d``."""
-    return 1.0 - binary_entropy(d)
-
-
-def yields(source: SourceParams, eta_total: float) -> YieldPair:
-    """Click rates of a Poissonian signal pulse through total efficiency ``eta_total``.
-
-    ``y_exp = 1 - exp(-eta_total * mu_s)`` is the photon-caused click
-    probability; ``y_1 = exp(-mu_s) * mu_s * eta_total`` is the part
-    contributed by single-photon emissions.  Both are evaluated in forms
-    that survive transmittances far below float epsilon.
-    """
-    return YieldPair(*_yields(source.mu_s, _check_probability("eta_total", eta_total)))
-
-
-def eve_info_multi(pair: YieldPair) -> float:
-    """Fraction of clicks fully known to Eve via photon-number splitting.
-
-    Everything the receiver detects beyond the single-photon yield is
-    attributed to multi-photon emissions, which the splitting attack
-    reads out perfectly: ``(y_exp - y_1) / y_exp``.
-    """
-    if pair.y_exp <= 0.0:
-        raise UndefinedPointError("no expected clicks: y_exp = 0")
-    return _eve_info_multi(*pair)
-
-
-def eve_error_rate(mu_s: float, d: float) -> float:
-    """Error rate Eve may imprint on single-photon pulses while the link observes ``d``.
-
-    Multi-photon attacks are error-free, so the whole observed error
-    budget concentrates on the single-photon fraction:
-    ``d * mu_s / p_1 = d * exp(mu_s)``, clamped at 1/2 where the budget
-    exceeds a random channel.  Total in ``mu_s``: where ``exp(mu_s)``
-    would overflow, any ``d > 0`` is clamped.
-    """
-    mu_s = _check_positive("mu_s", mu_s)
-    return _eve_error_clamped(mu_s, _check_probability("error rate", d))[0]
-
-
-def eve_info_single(mu_s: float, d: float) -> float:
-    """Individual-attack information bound on the single-photon subset.
-
-    At single-photon error rate ``d_eve`` the optimal individual attack
-    yields ``1 - h2(1/2 - sqrt(d_eve (1 - d_eve)))`` bits, weighted here
-    by the single-photon emission fraction ``exp(-mu_s) = p_1 / mu_s``.
-    """
-    return _eve_info_single(mu_s, eve_error_rate(mu_s, d))
-
-
-def bob_error_rate(
-    source: SourceParams, channel: ChannelParams, det: DetectorParams
-) -> float:
-    """Observed error rate: misalignment on photon clicks plus random dark clicks.
-
-    ``(e_0 * y0 + e_detector * y_exp) / y_exp``, clamped to [0, 1/2].
-    Raises :class:`UndefinedPointError` where no clicks are expected.
-    """
-    return _report(source.mu_s, total_efficiency(channel, det), det)[2]
-
-
 @dataclass(frozen=True)
 class SecurityReport:
     """Full breakdown of one working point of the link.
+
+    ``y_exp = 1 - exp(-eta_total mu_s)`` is the click rate per pulse and
+    ``y_1 = exp(-mu_s) mu_s eta_total`` its single-photon part.  ``d_bob =
+    (e_0 y0 + e_detector y_exp) / y_exp`` is the observed error rate and
+    ``d_eve = d_bob exp(mu_s)`` the rate Eve may imprint on single photons
+    (each clamped at 1/2).  ``i_ab = 1 - h2(d_bob)``; ``i_ae_multi =
+    (y_exp - y_1) / y_exp`` is what photon-number splitting reads out, and
+    ``i_ae_single = exp(-mu_s) (1 - h2(1/2 - sqrt(d_eve (1 - d_eve))))``
+    the individual-attack bound on the single photons.
 
     ``r_s = r_bob - r_eve`` holds exactly (same floats, no re-rounding),
     as does ``i_ae = i_ae_multi + i_ae_single``.  The ``*_clamped``

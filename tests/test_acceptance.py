@@ -21,12 +21,12 @@ from brpqkd import (
     McConfig,
     SourceParams,
     afterpulse_error,
-    binary_entropy,
     brp_empty_prob,
     brp_intensity_bound,
     channel_transmittance,
     compare_with_model,
     disturbance_bound,
+    disturbance_tradeoff,
     evaluate_point,
     optimal_signal_intensity,
     poisson_pmf,
@@ -34,7 +34,6 @@ from brpqkd import (
     secure_distance,
     simulate,
     simulate_attack,
-    yields,
 )
 from brpqkd.linkbudget import OpticalChain
 
@@ -232,18 +231,24 @@ def test_criterion_9_property_suites():
     rng = np.random.default_rng(99)
     trials = 10_000
 
+    # the ideal-source trade-off's i_ab is 1 - h2(p)
     entropy_ok = True
     for p in rng.uniform(0.0, 1.0, trials):
-        if abs(binary_entropy(p) - binary_entropy(1.0 - p)) > 1e-12:
+        i_ab = disturbance_tradeoff(IDEAL_SOURCE, p)[0]
+        if abs(i_ab - disturbance_tradeoff(IDEAL_SOURCE, 1.0 - p)[0]) > 1e-12:
             entropy_ok = False
             break
 
+    # at 0 km the total efficiency is exactly eta_d
     ordering_ok = True
     for mu, eta in zip(
         rng.uniform(1e-3, 5.0, trials), rng.uniform(1e-6, 1.0, trials)
     ):
-        y_exp, y_1 = yields(SourceParams(mu_s=float(mu)), float(eta))
-        if y_1 > y_exp:
+        report = evaluate_point(
+            SourceParams(mu_s=float(mu)), ChannelParams(length_km=0.0),
+            DetectorParams(eta_d=float(eta)),
+        )
+        if report.y_1 > report.y_exp:
             ordering_ok = False
             break
 

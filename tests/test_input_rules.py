@@ -16,12 +16,14 @@ beyond the float range counts as the infinity of its sign.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from brpqkd import (
     GYS_DETECTOR,
+    IDEAL_SOURCE,
     ChannelParams,
     DetectorParams,
     EvePolicy,
@@ -34,10 +36,8 @@ from brpqkd import (
     brp_intensity_bound,
     crosstalk_false_click,
     derive_stream,
-    detect_prob,
     disturbance_bound,
     disturbance_tradeoff,
-    eve_error_rate,
     optimal_signal_intensity,
     poisson_pmf,
     secure_distance,
@@ -102,9 +102,6 @@ CASES = [
     ("poisson_pmf.mu", lambda x: poisson_pmf(1, x), "nonnegative", "mu"),
     ("poisson_pmf.n", lambda n: poisson_pmf(n, 0.5), st.integers(max_value=-1),
      "photon number"),
-    ("detect_prob.i", lambda i: detect_prob(i, 0.5), st.integers(max_value=-1),
-     "photon number"),
-    ("detect_prob.eta", lambda x: detect_prob(2, x), "probability", "efficiency"),
     ("brp_empty_prob.mu_b", lambda x: brp_empty_prob(x, 0.5), "nonnegative", "mu_b"),
     ("brp_empty_prob.eta_total", lambda x: brp_empty_prob(1.0, x), "probability",
      "eta_total"),
@@ -126,8 +123,6 @@ CASES = [
      "nonnegative", "leak_intensity"),
     ("crosstalk_false_click.eta_d", lambda x: crosstalk_false_click(1.0, x), "probability",
      "eta_d"),
-    ("eve_error_rate.mu_s", lambda x: eve_error_rate(x, 0.1), "positive", "mu_s"),
-    ("eve_error_rate.d", lambda x: eve_error_rate(0.5, x), "probability", "error rate"),
     ("brp_intensity_bound.mu_s", lambda x: brp_intensity_bound(x, _LINK, GYS_DETECTOR),
      "positive", "mu_s"),
     ("brp_intensity_bound.budget",
@@ -230,5 +225,36 @@ def test_integral_floats_count_as_integers():
 
 
 def test_a_positive_rule_lets_infinity_through():
-    # the model clamps d_eve where exp(mu_s) overflows
-    assert eve_error_rate(math.inf, 0.1) == eve_error_rate(HUGE, 0.1) == 0.5
+    # the model clamps d_eve where exp(mu_s) overflows: every click is a multi-photon one
+    i_ab = disturbance_tradeoff(IDEAL_SOURCE, 0.1)[0]
+    assert disturbance_tradeoff(math.inf, 0.1) == disturbance_tradeoff(HUGE, 0.1) == (i_ab, 1.0)
+
+
+@pytest.mark.parametrize("value", ["no", "", 0, 1, None, 0.0], ids=repr)
+def test_lossless_forwarding_must_be_a_bool(value):
+    # "no" is truthy, and must not switch lossless forwarding on
+    with pytest.raises(ValueError, match="^forward_multiphoton_lossless must be a bool, got "):
+        EvePolicy(mode="pns", forward_multiphoton_lossless=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+def test_lossless_forwarding_takes_python_and_numpy_bools(value):
+    policy = EvePolicy(mode="pns", forward_multiphoton_lossless=value)
+    assert policy.forward_multiphoton_lossless is bool(value)
+
+
+@pytest.mark.parametrize("mode", ["", "PNS", "intercept-resend"], ids=repr)
+def test_an_unknown_eve_mode_is_rejected(mode):
+    with pytest.raises(ValueError, match=f"^eve mode must be one of .*, got {mode!r}$"):
+        EvePolicy(mode=mode)
+
+
+@pytest.mark.parametrize("call", [
+    lambda marker: disturbance_tradeoff(marker, 0.1),
+    disturbance_bound,
+], ids=["disturbance_tradeoff", "disturbance_bound"])
+def test_a_source_marker_other_than_ideal_is_rejected(call):
+    # only IDEAL_SOURCE is a marker; a near miss must not pass as an intensity
+    for marker in (IDEAL_SOURCE.upper(), IDEAL_SOURCE + " ", "0.5"):
+        with pytest.raises(ValueError, match=f"^unknown source marker {marker!r}$"):
+            call(marker)

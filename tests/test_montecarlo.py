@@ -19,10 +19,10 @@ from brpqkd import (
     channel_transmittance,
     compare_with_model,
     derive_stream,
+    evaluate_point,
     poisson_pmf,
     simulate,
     simulate_attack,
-    yields,
 )
 from brpqkd import montecarlo
 from brpqkd.montecarlo import (
@@ -92,13 +92,32 @@ def test_bright_source_lossless_link():
 
 def test_estimates_track_the_analytic_model():
     result = simulate(_config(n_pulses=10_000_000, seed=7))
-    eta_total = channel_transmittance(ChannelParams(length_km=100.0)) * 0.045
-    y_exp, y_1 = yields(SourceParams(mu_s=0.5), eta_total)
+    report = evaluate_point(SourceParams(mu_s=0.5), ChannelParams(length_km=100.0), GYS_DETECTOR)
+    y_exp, y_1 = report.y_exp, report.y_1
     n = 10_000_000
     assert abs(result.est_y_exp - y_exp) < 4.0 * math.sqrt(y_exp * (1 - y_exp) / n)
     p_1 = poisson_pmf(1, 0.5)
     cond = y_1 / p_1
     assert abs(result.est_y_1 - y_1) < 4.0 * p_1 * math.sqrt(cond * (1 - cond) / (n * p_1))
+
+
+def test_compare_with_model_targets_are_the_report_fields_bit_for_bit():
+    rng = np.random.default_rng(707)
+    points = [
+        (DetectorParams(eta_d=float(rng.uniform(0.01, 1.0)),
+                        y0=float(10.0 ** rng.uniform(-8.0, -3.0)),
+                        e_detector=float(rng.uniform(0.0, 0.1))),
+         float(10.0 ** rng.uniform(-3.0, 1.5)), float(rng.uniform(0.0, 400.0)))
+        for _ in range(40)
+    ]
+    points += [(GYS_DETECTOR, mu_s, 50.0) for mu_s in (709.78, 709.79, 800.0)]
+    for det, mu_s, length in points:
+        config = _config(mu_s=mu_s, length_km=length, det=det, n_pulses=1000)
+        report = evaluate_point(config.source, config.channel, det)
+        targets = {row.name: row.target for row in compare_with_model(config, simulate(config))}
+        assert targets["y_exp"] == report.y_exp
+        assert targets["y_1"] == report.y_1
+        assert targets["d_bob"] == report.d_bob
 
 
 def test_compare_with_model_z_scores():

@@ -25,15 +25,11 @@ from brpqkd import (
     SweepGrid,
     SweepRow,
     UndefinedPointError,
-    binary_entropy,
     brp_empty_prob,
     brp_intensity_bound,
     disturbance_bound,
     disturbance_tradeoff,
     evaluate_point,
-    eve_error_rate,
-    eve_info_single,
-    mutual_info_ab,
     optimal_signal_intensity,
     secure_distance,
     sweep,
@@ -57,6 +53,45 @@ def test_secure_distance_brackets_the_sign_change():
     ).r_s
     assert at(result.distance_km - 0.1) > 0.0
     assert at(result.distance_km + 0.1) < 0.0
+
+
+def _seeded_detectors():
+    rng = np.random.default_rng(1107)
+    return [GYS_DETECTOR] + [
+        DetectorParams(eta_d=float(rng.uniform(0.02, 0.6)),
+                       y0=float(10.0 ** rng.uniform(-7.0, -4.5)),
+                       e_detector=float(rng.uniform(0.0, 0.05)))
+        for _ in range(8)
+    ]
+
+
+_PROPERTY_MU = (0.1, 0.3, 0.5, 0.8)
+_PROPERTY_LOSSES = (0.15, 0.17, 0.19, 0.21, 0.23, 0.25, 0.3)
+
+
+def test_the_reach_does_not_increase_with_loss_and_sets_one_loss_budget():
+    # the length enters the model only through loss * length, so each reach is
+    # the same budget in dB, less at most one bisection tolerance in km
+    tolerance = brpqkd.optimize._DISTANCE_TOL_KM * max(_PROPERTY_LOSSES) + 1e-9
+    budgets_checked = 0
+    for det in _seeded_detectors():
+        for mu_s in _PROPERTY_MU:
+            reaches = [secure_distance(mu_s, det, loss) for loss in _PROPERTY_LOSSES]
+            km = [reach.distance_km for reach in reaches]
+            assert all(b <= a for a, b in zip(km, km[1:])), (det, mu_s, km)
+            budgets = [reach.distance_km * loss for reach, loss in zip(reaches, _PROPERTY_LOSSES)
+                       if not reach.unbounded and reach.distance_km > 0.0]
+            assert max(budgets) - min(budgets) <= tolerance, (det, mu_s, budgets)
+            budgets_checked += len(budgets)
+    assert budgets_checked == 9 * 4 * 7
+
+
+def test_the_reach_does_not_decrease_with_detector_efficiency():
+    for det in _seeded_detectors():
+        for mu_s in _PROPERTY_MU:
+            km = [secure_distance(mu_s, replace(det, eta_d=eta_d), 0.21).distance_km
+                  for eta_d in (0.01, 0.03, 0.1, 0.3, 1.0)]
+            assert all(b >= a for a, b in zip(km, km[1:])), (det, mu_s, km)
 
 
 def test_secure_distance_depends_on_intensity():
@@ -286,11 +321,24 @@ def test_disturbance_tradeoff_rejects_bad_arguments():
         disturbance_tradeoff(0.5, 1.5)
 
 
+def _h2(x):
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
 def _tradeoff_reference(mu_s, d):
-    # the trade-off restated from the public per-term functions
+    # the trade-off restated in plain math, term for term as SecurityReport defines
+    # i_ab, i_ae_multi (in the high-loss limit), d_eve and i_ae_single
+    i_ab = 1.0 - _h2(d)
     if mu_s == IDEAL_SOURCE:
-        return mutual_info_ab(d), 1.0 - binary_entropy(0.5 - math.sqrt(d * (1.0 - d)))
-    return mutual_info_ab(d), -math.expm1(-mu_s) + eve_info_single(mu_s, d)
+        return i_ab, 1.0 - _h2(0.5 - math.sqrt(d * (1.0 - d)))
+    if mu_s > math.log(sys.float_info.max):
+        d_eve = 0.5 * (d > 0.0)  # exp(mu_s) overflows, and every d > 0 clamps
+    else:
+        d_eve = min(d * math.exp(mu_s), 0.5)
+    i_ae_single = math.exp(-mu_s) * (1.0 - _h2(0.5 - math.sqrt(d_eve * (1.0 - d_eve))))
+    return i_ab, -math.expm1(-mu_s) + i_ae_single
 
 
 # 709.78 and 709.79 straddle log(DBL_MAX), where exp(mu_s) overflows
@@ -302,7 +350,7 @@ _TRADEOFF_D = (
 
 
 @pytest.mark.parametrize("mu_s", _TRADEOFF_MU)
-def test_disturbance_tradeoff_equals_the_per_term_functions_bitwise(mu_s):
+def test_disturbance_tradeoff_equals_its_plain_restatement_bitwise(mu_s):
     for d in _TRADEOFF_D:
         assert disturbance_tradeoff(mu_s, d) == _tradeoff_reference(mu_s, d), d
 
@@ -445,12 +493,15 @@ _LINK = ChannelParams(length_km=50.0)
 @pytest.mark.parametrize("call, blamed", [
     (lambda: disturbance_bound(_NAN), "mu_s"),
     (lambda: disturbance_tradeoff(_NAN, 0.1), "mu_s"),
-    (lambda: eve_error_rate(_NAN, 0.1), "mu_s"),
-    (lambda: eve_info_single(_NAN, 0.1), "mu_s"),
     (lambda: brp_intensity_bound(_NAN, _LINK, GYS_DETECTOR), "mu_s"),
     (lambda: brp_intensity_bound(0.5, _LINK, GYS_DETECTOR, budget=_NAN), "budget"),
-], ids=["disturbance_bound", "disturbance_tradeoff", "eve_error_rate", "eve_info_single",
-        "brp_intensity_bound-mu_s", "brp_intensity_bound-budget"])
+    (lambda: SourceParams(mu_s=_NAN), "mu_s"),
+    (lambda: secure_distance(_NAN, GYS_DETECTOR), "mu_s"),
+    (lambda: optimal_signal_intensity(GYS_DETECTOR, 0.21, [0.4, _NAN]), "mu_s"),
+    (lambda: sweep(SweepGrid((_NAN,), (0.0,), GYS_DETECTOR)), "mu_s"),
+], ids=["disturbance_bound", "disturbance_tradeoff", "brp_intensity_bound-mu_s",
+        "brp_intensity_bound-budget", "SourceParams", "secure_distance",
+        "optimal_signal_intensity", "sweep"])
 def test_nan_intensity_or_budget_is_rejected(call, blamed):
     with pytest.raises(ValueError, match=blamed):
         call()

@@ -3,17 +3,15 @@
 import brpqkd
 from brpqkd import linkbudget, montecarlo, optimize, params, photon_stats, security
 
-# the 51 names the package exported by its own list, before it re-exported the
-# layers' lists; none may leave it
+# the names the package exported by its own list, before it re-exported the
+# layers' lists, less the per-term wrappers that SecurityReport's fields
+# replaced; none may leave it
 _EARLIER_NAMES = [
     "__version__",
     "SourceParams", "ChannelParams", "DetectorParams",
     "GYS_DETECTOR", "IDEAL_DETECTOR", "DEFAULT_LOSS_DB_PER_KM",
-    "poisson_pmf", "detect_prob", "channel_transmittance", "brp_empty_prob",
-    "UndefinedPointError", "YieldPair", "SecurityReport",
-    "binary_entropy", "mutual_info_ab", "yields",
-    "eve_info_multi", "eve_error_rate", "eve_info_single",
-    "bob_error_rate", "evaluate_point",
+    "poisson_pmf", "channel_transmittance", "brp_empty_prob",
+    "UndefinedPointError", "SecurityReport", "evaluate_point",
     "SecureDistance", "OptimalIntensity", "BrpBound", "DisturbanceBound",
     "SweepGrid", "SweepRow", "MultipleCrossingsError", "IDEAL_SOURCE",
     "secure_distance", "optimal_signal_intensity", "brp_intensity_bound",
@@ -36,9 +34,19 @@ def test_the_package_exports_each_layer_once():
 
 
 def test_no_earlier_name_leaves_the_package():
-    assert len(_EARLIER_NAMES) == 51
+    assert len(_EARLIER_NAMES) == 42
+    assert len(brpqkd.__all__) == 46
     assert set(_EARLIER_NAMES) <= set(brpqkd.__all__)
     assert {"security_margin", "transmittance", "total_efficiency", "SCAN_CAP_KM"} <= set(
         brpqkd.__all__
     )
     assert isinstance(brpqkd.__version__, str)
+
+
+def test_the_per_term_wrappers_are_gone_from_every_layer():
+    # each term is a SecurityReport field; no alias or shim keeps the old names
+    folded = ["YieldPair", "binary_entropy", "mutual_info_ab", "yields", "eve_info_multi",
+              "eve_error_rate", "eve_info_single", "bob_error_rate", "detect_prob"]
+    for module in (brpqkd, params, photon_stats, security, optimize, montecarlo, linkbudget):
+        for name in folded:
+            assert not hasattr(module, name), (module.__name__, name)

@@ -8,10 +8,12 @@ from mpmath import mp
 
 from brpqkd import (
     ChannelParams,
+    DetectorParams,
     brp_empty_prob,
     channel_transmittance,
-    detect_prob,
     poisson_pmf,
+    total_efficiency,
+    transmittance,
 )
 
 mp.dps = 50
@@ -112,16 +114,13 @@ def test_poisson_pmf_rejects_bad_arguments():
 
 
 def test_photon_numbers_beyond_the_float_range_answer():
-    # n! swamps mu**n, and any efficiency above zero clicks on so many photons
+    # n! swamps mu**n
     assert poisson_pmf(10**400, 0.5) == 0.0
     assert poisson_pmf(10**400, 1e300) == 0.0
     assert poisson_pmf(10**306, 0.5) == 0.0  # far from mu, the pmf underflows
     assert poisson_pmf(10**306, 1e300) == 0.0
     # near mu = n the pmf is answered, about 1/sqrt(2 pi n)
     assert poisson_pmf(10**305, 1e305) == pytest.approx(1 / math.sqrt(2e305 * math.pi), rel=1e-12)
-    assert detect_prob(10**400, 0.5) == 1.0
-    assert detect_prob(10**400, 5e-324) == 1.0
-    assert detect_prob(10**400, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("mu", [2.5e305, 1e306, 1e307, 2.8e307])
@@ -146,44 +145,6 @@ def test_poisson_pmf_for_a_mean_near_the_float_maximum():
     assert poisson_pmf(10**305, 1.79e308) == 0.0
 
 
-def test_detect_prob_trivial_cases():
-    assert detect_prob(0, 0.3) == 0.0
-    assert detect_prob(1, 0.3) == 0.3  # exact, by contract
-    assert detect_prob(7, 0.0) == 0.0
-    assert detect_prob(5, 1.0) == 1.0
-
-
-def test_detect_prob_matches_complement_form():
-    rng = np.random.default_rng(1812)
-    for _ in range(500):
-        i = int(rng.integers(1, 50))
-        eta = float(rng.uniform(0.0, 1.0))
-        expected = float(1 - (1 - mp.mpf(eta)) ** i)
-        assert detect_prob(i, eta) == pytest.approx(expected, rel=1e-12)
-
-
-def test_detect_prob_survives_tiny_efficiency():
-    # naive 1-(1-eta)^i loses all precision here
-    expected = float(1 - (1 - mp.mpf("1e-12")) ** 3)
-    assert detect_prob(3, 1e-12) == pytest.approx(expected, rel=1e-12)
-
-
-def test_detect_prob_monotone_in_photon_number():
-    rng = np.random.default_rng(1905)
-    for _ in range(200):
-        eta = float(rng.uniform(0.01, 0.99))
-        probs = [detect_prob(i, eta) for i in range(0, 30)]
-        assert all(b >= a for a, b in zip(probs, probs[1:]))
-        assert all(0.0 <= p <= 1.0 for p in probs)
-
-
-def test_detect_prob_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        detect_prob(-1, 0.5)
-    with pytest.raises(ValueError):
-        detect_prob(1, 1.5)
-
-
 def test_channel_transmittance_reference_values():
     assert channel_transmittance(ChannelParams(length_km=0.0)) == 1.0
     assert channel_transmittance(ChannelParams(length_km=10.0)) == pytest.approx(
@@ -204,6 +165,25 @@ def test_channel_transmittance_multiplicative():
             ChannelParams(l2, loss)
         )
         assert combined == pytest.approx(split, rel=1e-12)
+
+
+def test_transmittance_of_an_array_matches_each_span():
+    # the array form the reach scans use, against the scalar channel path
+    rng = np.random.default_rng(2207)
+    lengths = rng.uniform(0.0, 400.0, size=500)
+    for loss in (0.0, 0.21, 0.35):
+        expected = [channel_transmittance(ChannelParams(float(x), loss)) for x in lengths]
+        np.testing.assert_allclose(transmittance(lengths, loss), expected, rtol=1e-15, atol=0)
+
+
+def test_total_efficiency_is_the_transmittance_times_eta_d():
+    rng = np.random.default_rng(2209)
+    for _ in range(300):
+        det = DetectorParams(eta_d=float(rng.uniform(0.0, 1.0)))
+        # at 0 km the transmittance is exactly 1, so the product is eta_d itself
+        assert total_efficiency(ChannelParams(length_km=0.0), det) == det.eta_d
+        channel = ChannelParams(length_km=float(rng.uniform(0.0, 300.0)))
+        assert total_efficiency(channel, det) == channel_transmittance(channel) * det.eta_d
 
 
 def test_brp_empty_prob_trivial_cases():
