@@ -115,13 +115,19 @@ def afterpulse_error(p_afterpulse: float) -> float:
     """Error rate contributed by detector afterpulses triggered by bright pulses.
 
     An afterpulse is uncorrelated with the encoded bit, so it errs half
-    the time: the contribution is ``p_afterpulse / 2``.
+    the time: the contribution is ``p_afterpulse / 2``.  It is taken to
+    add to the detector's intrinsic error rate ``e_detector``.
     """
     return 0.5 * _check_probability("afterpulse probability", p_afterpulse)
 
 
 def crosstalk_false_click(leak_intensity: float, eta_d: float) -> float:
-    """Probability that switch leakage fires the signal detector, ``1 - exp(-eta_d * leak)``."""
+    """Probability that switch leakage fires the signal detector, ``1 - exp(-eta_d * leak)``.
+
+    The click adds to the dark-count rate ``y0`` only when it lands in the
+    signal gate; whether it does depends on the scheme's timing, which
+    the model does not fix.
+    """
     leak_intensity = _check_nonnegative("leak_intensity", leak_intensity)
     eta_d = _check_probability("eta_d", eta_d)
     return -math.expm1(-eta_d * leak_intensity)

@@ -54,7 +54,7 @@ import numpy as np
 
 from .params import ChannelParams, DetectorParams, SourceParams, _check_integer, _check_probability
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
-from .security import UndefinedPointError, _report, _yields
+from .security import UndefinedPointError, evaluate_point
 
 __all__ = [
     "BLOCK_SIZE",
@@ -142,7 +142,10 @@ class McCounts(NamedTuple):
 
 @dataclass(frozen=True)
 class McResult:
-    """Estimates with plug-in binomial standard errors, plus the raw tallies.
+    """Estimates of the model's rates, plus the raw tallies.
+
+    Standard errors are taken at the model's rate, not at the estimate:
+    see :class:`McComparison`.
 
     ``est_g_b0`` is the bright-pulse vacancy rate (the share of reference
     pulses that went unseen).  ``interference_error_rate`` is the error rate of
@@ -151,13 +154,9 @@ class McResult:
     """
 
     est_y_exp: float
-    se_y_exp: float
     est_y_1: float
-    se_y_1: float
     est_d_bob: float
-    se_d_bob: float
     est_g_b0: float
-    se_g_b0: float
     interference_error_rate: float
     counts: McCounts
 
@@ -388,38 +387,19 @@ def _binomial_se(p: float, n: int) -> float:
 
 
 def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
-    n = total.pulses
-    est_y_exp = total.photon_clicks / n
-    est_g_b0 = total.brp_misses / n
-
+    est_y_1 = est_d_bob = interference_error_rate = 0.0
     if total.single_emissions > 0:
-        p_1 = poisson_pmf(1, config.source.mu_s)
         click_given_single = total.single_emission_clicks / total.single_emissions
-        est_y_1 = p_1 * click_given_single
-        se_y_1 = p_1 * _binomial_se(click_given_single, total.single_emissions)
-    else:
-        est_y_1, se_y_1 = 0.0, 0.0
-
+        est_y_1 = poisson_pmf(1, config.source.mu_s) * click_given_single
     if total.clicks > 0:
         est_d_bob = total.error_clicks / total.clicks
-        se_d_bob = _binomial_se(est_d_bob, total.clicks)
-    else:
-        est_d_bob, se_d_bob = 0.0, 0.0
-
     if total.blocked_brp_clicks > 0:
         interference_error_rate = total.interference_errors / total.blocked_brp_clicks
-    else:
-        interference_error_rate = 0.0
-
     return McResult(
-        est_y_exp=est_y_exp,
-        se_y_exp=_binomial_se(est_y_exp, n),
+        est_y_exp=total.photon_clicks / total.pulses,
         est_y_1=est_y_1,
-        se_y_1=se_y_1,
         est_d_bob=est_d_bob,
-        se_d_bob=se_d_bob,
-        est_g_b0=est_g_b0,
-        se_g_b0=_binomial_se(est_g_b0, n),
+        est_g_b0=total.brp_misses / total.pulses,
         interference_error_rate=interference_error_rate,
         counts=total,
     )
@@ -428,30 +408,23 @@ def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
 def _run(config: McConfig, threads: int) -> McResult:
     threads = _check_integer("threads", threads, 1)
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
-    jobs = (
-        (config, index, min(BLOCK_SIZE, config.n_pulses - index * BLOCK_SIZE))
-        for index in range(n_blocks)
-    )
     total = [0] * len(McCounts._fields)
 
     def add(part: McCounts) -> None:
         for field, value in enumerate(part):
             total[field] += value
 
-    if threads == 1:
-        for job in jobs:
-            add(_block_counts(*job))
-    else:
-        # a bounded window of submitted blocks keeps memory flat in n_pulses;
-        # integer tallies sum to the same total in any order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            window: deque = deque()
-            for job in jobs:
-                window.append(pool.submit(_block_counts, *job))
-                if len(window) > 2 * threads:
-                    add(window.popleft().result())
-            while window:
+    # a bounded window of submitted blocks keeps memory flat in n_pulses;
+    # integer tallies sum to the same total in any order
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window: deque = deque()
+        for index in range(n_blocks):
+            size = min(BLOCK_SIZE, config.n_pulses - index * BLOCK_SIZE)
+            window.append(pool.submit(_block_counts, config, index, size))
+            if len(window) > 2 * threads:
                 add(window.popleft().result())
+        while window:
+            add(window.popleft().result())
     return _result_from_counts(config, McCounts(*total))
 
 
@@ -534,7 +507,12 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
 
     rows = []
     if config.eve.mode == "none":
-        y_exp, y_1 = _yields(config.source.mu_s, eta_total)
+        try:
+            report = evaluate_point(config.source, config.channel, config.det)
+            y_exp, y_1, d_bob = report.y_exp, report.y_1, report.d_bob
+        except UndefinedPointError:
+            # no expected clicks: no yield, and no error rate to compare
+            y_exp, y_1, d_bob = 0.0, 0.0, None
         rows.append(row("y_exp", result.est_y_exp, y_exp,
                         counts.photon_clicks, counts.pulses, y_exp))
         # p_1 is 0 at mu_s = 0 and underflows to 0 from mu_s of about 751.6 on
@@ -542,13 +520,9 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
         click_given_single = y_1 / p_1 if p_1 > 0.0 else 0.0
         rows.append(row("y_1", result.est_y_1, y_1, counts.single_emission_clicks,
                         counts.single_emissions, click_given_single, p_1))
-        try:
-            d_target = _report(config.source.mu_s, eta_total, config.det)[2]  # d_bob
-        except UndefinedPointError:
-            d_target = None  # no expected clicks, nothing to compare
-        if d_target is not None:
-            rows.append(row("d_bob", result.est_d_bob, d_target,
-                            counts.error_clicks, counts.clicks, d_target))
+        if d_bob is not None:
+            rows.append(row("d_bob", result.est_d_bob, d_bob,
+                            counts.error_clicks, counts.clicks, d_bob))
     rows.append(row("g_b0", result.est_g_b0, g_b0, counts.brp_misses, counts.pulses, g_b0))
     if config.eve.mode != "none":
         rows.append(row("interference_error_rate", result.interference_error_rate, 0.5,

@@ -112,6 +112,10 @@ class MultipleCrossingsError(ValueError):
             f"security margin changes sign {len(self.crossings)} times: {brackets}"
         )
 
+    def __reduce__(self):
+        # rebuild from the brackets, not from the message (a process pool pickles errors)
+        return type(self), (self.crossings,)
+
 
 class SecureDistance(NamedTuple):
     """Longest fiber length with a positive security margin."""

@@ -110,12 +110,9 @@ def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
     it alike.  ``where(flags, a, b)`` picks per point, ``any_of(flags)``
     tells whether any point is flagged, and ``first_of(mu_s, eta_total,
     flags)`` gives the intensity and efficiency of the first flagged
-    point.  Returns the functions ``(yields, eve_error, info_single,
-    report)``; inputs are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].
+    point.  Returns the functions ``(eve_error, info_single, report)``;
+    inputs are trusted: ``mu_s >= 0`` and ``eta_total`` in [0, 1].
     """
-
-    def yields(mu_s, eta_total):
-        return -expm1(-eta_total * mu_s), exp(-mu_s) * mu_s * eta_total
 
     def eve_error(mu_s, d_bob):
         over = mu_s > _LOG_DBL_MAX
@@ -135,7 +132,7 @@ def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
 
     def report(mu_s, eta_total, det):
         # the SecurityReport values of the working point(s), in field order
-        y_exp, y_1 = yields(mu_s, eta_total)
+        y_exp, y_1 = -expm1(-eta_total * mu_s), exp(-mu_s) * mu_s * eta_total
         undefined = y_exp <= 0.0
         if any_of(undefined):
             mu_s, eta_total = first_of(mu_s, eta_total, undefined)
@@ -156,10 +153,10 @@ def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):
         return (y_exp, y_1, d_bob, d_eve, i_ab, i_ae_multi, i_ae_single, i_ae,
                 r_bob, r_eve, r_s, r_s > 0.0, d_bob_clamped, d_eve_clamped)
 
-    return yields, eve_error, info_single, report
+    return eve_error, info_single, report
 
 
-_yields, _eve_error_clamped, _eve_info_single, _report = _formulas(
+_eve_error_clamped, _eve_info_single, _report = _formulas(
     math.exp, math.expm1, math.sqrt, _h2, _clamp_half,
     lambda flag, a, b: a if flag else b, bool, lambda mu_s, eta_total, _: (mu_s, eta_total),
 )

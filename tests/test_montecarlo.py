@@ -71,14 +71,24 @@ def test_degenerate_source_yields_nothing():
     assert result.counts.clicks == 0
 
 
-def test_compare_with_model_without_signal_photons():
-    # mu_s = 0 emits no single photons and, with no dark counts, expects no
-    # clicks: y_1's target is 0, and there is no error rate to compare
-    det = DetectorParams(eta_d=0.045, y0=0.0, e_detector=0.033)
-    config = _config(mu_s=0.0, det=det, n_pulses=200_000)
+@pytest.mark.parametrize("mu_s, eta_d", [(0.0, 0.045), (0.5, 0.0)],
+                         ids=["no-signal-photons", "blind-detector"])
+def test_compare_with_model_without_signal_photons(mu_s, eta_d):
+    # mu_s = 0 emits no single photons and a blind detector sees none of them;
+    # with no dark counts either run expects no clicks: both yield targets
+    # are 0, and there is no error rate to compare
+    det = DetectorParams(eta_d=eta_d, y0=0.0, e_detector=0.033)
+    config = _config(mu_s=mu_s, det=det, n_pulses=200_000)
     rows = {row.name: row for row in compare_with_model(config, simulate(config))}
     assert list(rows) == ["y_exp", "y_1", "g_b0"]
+    assert rows["y_exp"] == ("y_exp", 0.0, 0.0, 0.0, 0.0)
     assert rows["y_1"] == ("y_1", 0.0, 0.0, 0.0, 0.0)
+
+
+def test_a_result_carries_the_estimates_and_the_tallies():
+    assert [field.name for field in dataclasses.fields(McResult)] == [
+        "est_y_exp", "est_y_1", "est_d_bob", "est_g_b0", "interference_error_rate", "counts",
+    ]
 
 
 def test_bright_source_lossless_link():
@@ -149,8 +159,9 @@ def test_thread_count_does_not_change_results():
     assert results[0].est_y_exp == results[1].est_y_exp == results[2].est_y_exp
 
 
-def test_runs_submit_a_bounded_window_of_blocks(monkeypatch):
-    """Blocks are submitted a few at a time, not all up front."""
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runs_submit_a_bounded_window_of_blocks(monkeypatch, threads):
+    """Blocks are submitted a few at a time, not all up front, at any thread count."""
     started = []
 
     def fake_block_counts(config, block_index, size):
@@ -161,8 +172,8 @@ def test_runs_submit_a_bounded_window_of_blocks(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_block_counts", fake_block_counts)
     with pytest.raises(RuntimeError, match="stop"):
-        simulate(_config(n_pulses=1000 * BLOCK_SIZE), threads=2)
-    assert max(started) <= 20 + 2 * 2 + 1
+        simulate(_config(n_pulses=1000 * BLOCK_SIZE), threads=threads)
+    assert max(started) <= 20 + 2 * threads + 1
 
 
 def test_reruns_are_identical():
@@ -256,7 +267,7 @@ def test_rare_event_z_uses_the_poisson_tail():
     det = DetectorParams(eta_d=1.0, y0=0.0, e_detector=0.0)
     config = _config(mu_b=-math.log(lam / n), length_km=0.0, det=det, n_pulses=n)
     counts = McCounts(n, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
-    result = McResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1 / n, 0.0, 0.0, counts)
+    result = McResult(0.0, 0.0, 0.0, 1 / n, 0.0, counts)
     (g_b0,) = [row for row in compare_with_model(config, result) if row.name == "g_b0"]
     assert n * g_b0.target == pytest.approx(lam, rel=1e-12)
     assert g_b0.se == math.sqrt(g_b0.target * (1.0 - g_b0.target) / n)
@@ -274,7 +285,7 @@ def test_rare_event_z_keeps_the_sign(lam, z):
     det = DetectorParams(eta_d=1.0, y0=0.0, e_detector=0.0)
     config = _config(mu_b=-math.log(lam / n), length_km=0.0, det=det, n_pulses=n)
     counts = McCounts(n, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
-    result = McResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1 / n, 0.0, 0.0, counts)
+    result = McResult(0.0, 0.0, 0.0, 1 / n, 0.0, counts)
     (g_b0,) = [row for row in compare_with_model(config, result) if row.name == "g_b0"]
     assert g_b0.z == pytest.approx(z, abs=0.005)
 

@@ -1,5 +1,6 @@
 """Searches and sweeps: reach, working point, reference-pulse floor, disturbance."""
 
+import copy
 import math
 import pickle
 import sys
@@ -123,6 +124,14 @@ def test_secure_distance_reports_multiple_crossings(monkeypatch):
         secure_distance(0.5, GYS_DETECTOR, 0.21)
     assert len(excinfo.value.crossings) == 3
     assert excinfo.value.crossings[0] == (99.0, 100.0)
+
+
+def test_a_crossings_error_survives_pickle_and_copy():
+    error = MultipleCrossingsError([(99.0, 100.0), (199.0, 200.0)])
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(twin) is MultipleCrossingsError
+        assert twin.crossings == ((99.0, 100.0), (199.0, 200.0))
+        assert str(twin) == str(error)
 
 
 _FAST = DetectorParams(eta_d=0.15, y0=3e-7, e_detector=0.015)
