@@ -33,7 +33,8 @@ from .linkbudget import (
     crosstalk_false_click,
     propagate,
 )
-from .montecarlo import EvePolicy, McConfig, compare_with_model, simulate, simulate_attack
+from .montecarlo import (_EVE_MODES, EvePolicy, McConfig, compare_with_model, simulate,
+                         simulate_attack)
 from .optimize import (
     IDEAL_SOURCE,
     SweepGrid,
@@ -97,8 +98,7 @@ class ExperimentConfig:
     y0: float = _option(GYS_DETECTOR.y0, "dark click probability per gate")
     e_detector: float = _option(GYS_DETECTOR.e_detector, "misalignment error rate")
     e_0: float = GYS_DETECTOR.e_0
-    eve_mode: str = _option("none", "eavesdropper policy for mc-validate",
-                            choices=["none", "pns"])
+    eve_mode: str = _option("none", "eavesdropper policy for mc-validate", choices=_EVE_MODES)
     suppress_fraction: float = _option(
         0.0, "single-photon blocking probability under pns")
     forward_multiphoton_lossless: bool = True
@@ -203,7 +203,8 @@ def _parse_mu_list(raw: str) -> tuple[float, ...]:
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig: a byte-order mark some editors write is not part of the first key
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     pairs: dict[str, str] = {}
@@ -286,7 +287,7 @@ _DISTANCE_FIELDS = ("mu_s", "length_km", "r_bob", "r_eve", "r_s")  # of a SweepR
 _DISTURBANCE_FIELDS = ("mu_s", "d", "i_ab", "i_ae")
 
 
-def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     mu_s = _single_mu(config, "evaluate")
     source = SourceParams(mu_s=mu_s, mu_b=config.mu_b)
     report = evaluate_point(source, _channel(config), _detector(config))
@@ -297,11 +298,10 @@ def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         "loss_db_km": config.loss_db_km,
     }
     record.update((f.name, getattr(report, f.name)) for f in fields(SecurityReport))
-    _emit(_render([record], args.fmt or "json"), args.out)
-    return EXIT_OK if report.secure else EXIT_INSECURE
+    return _render([record], args.fmt), EXIT_OK if report.secure else EXIT_INSECURE
 
 
-def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     grid = config.mu_s or _OPTIMIZE_GRID
     det = _detector(config)
     best = optimal_signal_intensity(det, config.loss_db_km, grid)
@@ -316,11 +316,10 @@ def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> int:
         "g_b0_at_bound": bound.g_b0_at_bound,
         "suppression_budget": bound.suppression_budget,
     }
-    _emit(_render([record], args.fmt or "json"), args.out)
-    return EXIT_OK
+    return _render([record], args.fmt), EXIT_OK
 
 
-def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     det = _detector(config)
     mu_values = config.mu_s or _SWEEP_MU_GRID
     columns: dict[str, Sequence[object]]
@@ -340,11 +339,10 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> int:
             for d in _DISTURBANCE_GRID
         )
         columns = dict(zip(_DISTURBANCE_FIELDS, zip(*records)))
-    _emit(_render_columns(columns, args.fmt or "csv"), args.out)
-    return EXIT_OK
+    return _render_columns(columns, args.fmt), EXIT_OK
 
 
-def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     if config.n_pulses < _MC_MIN_PULSES:
         raise UsageError(
             f"mc-validate needs n_pulses >= {_MC_MIN_PULSES}, got {config.n_pulses}"
@@ -382,12 +380,11 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         }
         for row in comparisons
     ]
-    _emit(_render(records, args.fmt or "json"), args.out)
     all_ok = all(record["ok"] for record in records)
-    return EXIT_OK if all_ok else EXIT_MC_MISMATCH
+    return _render(records, args.fmt), EXIT_OK if all_ok else EXIT_MC_MISMATCH
 
 
-def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> int:
+def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     chain = OpticalChain(
         source_intensity=config.source_intensity,
         channel=_channel(config),
@@ -410,8 +407,7 @@ def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> int:
             report.switch_leak_at_signal_detector, config.eta_d
         ),
     )
-    _emit(_render([record], args.fmt or "json"), args.out)
-    return EXIT_OK
+    return _render([record], args.fmt), EXIT_OK
 
 
 def _add_shared_options(parser: argparse.ArgumentParser) -> None:
@@ -433,28 +429,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    # each command, its handler, its default output format and its help text
     commands = [
-        ("evaluate", _cmd_evaluate, "evaluate the security of one working point"),
-        ("optimize", _cmd_optimize, "find the signal intensity maximizing secure reach"),
-        ("sweep", _cmd_sweep, "tabulate rates over a distance or disturbance grid"),
-        ("mc-validate", _cmd_mc_validate, "check the analytic model against Monte Carlo"),
-        ("budget", _cmd_budget, "propagate intensities through the optical chain"),
+        ("evaluate", _cmd_evaluate, "json", "evaluate the security of one working point"),
+        ("optimize", _cmd_optimize, "json", "find the signal intensity maximizing secure reach"),
+        ("sweep", _cmd_sweep, "csv", "tabulate rates over a distance or disturbance grid"),
+        ("mc-validate", _cmd_mc_validate, "json", "check the analytic model against Monte Carlo"),
+        ("budget", _cmd_budget, "json", "propagate intensities through the optical chain"),
     ]
-    for name, handler, help_text in commands:
+    for name, handler, fmt, help_text in commands:
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
         _add_shared_options(sub)
         if name == "sweep":
             sub.add_argument("axis", choices=["distance", "disturbance"],
                              help="sweep variable")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, fmt=fmt)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-        return args.handler(config, args)
+        text, code = args.handler(_build_config(args), args)
+        _emit(text, args.out)
+        return code
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

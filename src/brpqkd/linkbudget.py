@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .params import ChannelParams, _check_fields, _check_nonnegative, _check_probability, _float
-from .photon_stats import channel_transmittance
+from .photon_stats import channel_transmittance, transmittance
 
 __all__ = [
     "OpticalChain",
@@ -24,10 +24,6 @@ __all__ = [
     "afterpulse_error",
     "crosstalk_false_click",
 ]
-
-
-def _db_to_fraction(db: float) -> float:
-    return 10.0 ** (-db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,9 @@ def propagate(chain: OpticalChain) -> LinkBudgetReport:
     """
     alice_long, alice_short = chain.alice_split_ratio
     bob_long, bob_short = chain.bob_split_ratio
-    atten_alice = _db_to_fraction(chain.alice_attenuation_db)
-    atten_bob = _db_to_fraction(chain.bob_attenuation_db)
+    # an attenuation of x dB passes what 1 km at x dB/km passes
+    atten_alice = transmittance(1.0, chain.alice_attenuation_db)
+    atten_bob = transmittance(1.0, chain.bob_attenuation_db)
     eta_t = channel_transmittance(chain.channel)
 
     brp_at_alice = chain.source_intensity * alice_long * bob_long
@@ -106,8 +103,7 @@ def propagate(chain: OpticalChain) -> LinkBudgetReport:
         brp_at_bob=brp_at_bob,
         signal_at_bob=signal_at_alice * eta_t,
         dim_at_bob=dim_at_alice * eta_t,
-        switch_leak_at_signal_detector=brp_at_bob
-        * _db_to_fraction(chain.switch_crosstalk_db),
+        switch_leak_at_signal_detector=brp_at_bob * transmittance(1.0, chain.switch_crosstalk_db),
     )
 
 

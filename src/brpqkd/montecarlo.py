@@ -257,53 +257,45 @@ def _click_rule(n: int, p: float) -> tuple[float, float, float]:
     return -1.0, hi, restart
 
 
-def _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward):
-    if eta_forward is None:
-        n_eff, p_eff = n_emitted, eta_total
-    else:
-        multi = n_emitted >= 2
-        n_eff = np.where(multi, n_emitted - 1, n_emitted)
-        p_eff = np.where(multi, eta_forward, eta_total)
-    if blocked is not None:
-        n_eff = np.where(blocked, 0, n_eff)
-    return rng.binomial(n_eff, p_eff) >= 1
-
-
 def _photon_clicks(rng, n_emitted, blocked, eta_total, eta_forward, scratch):
     """``binomial(n_eff, p_eff) >= 1`` per pulse, drawing what numpy would.
 
     A pulse with ``k`` emitted photons is thinned as B(k, eta_total), or
     as B(k - 1, eta_forward) when ``eta_forward`` is set and k >= 2 (the
     forwarded photon meets only the detector); blocked pulses keep no
-    photon.  numpy's binomial draws nothing where n or p is 0 and one
-    uniform per inversion otherwise, so this draws one uniform per live
-    pulse, in block order, and decides each click by :func:`_click_rule`.
-    It falls back to ``rng.binomial`` itself, from the same generator
-    state, where numpy would not invert (``min(p, 1 - p) * n > 30``) or a
-    drawn uniform reaches the lowest restart threshold of the block's
-    photon numbers.  ``scratch`` is a float buffer of at least one slot
-    per pulse that the uniforms are drawn into.
+    photon.  That rule is one table per block, ``n_of[k], p_of[k]``.
+    numpy's binomial draws nothing where n or p is 0 and one uniform per
+    inversion otherwise, so this draws one uniform per live pulse, in
+    block order, and decides each click by :func:`_click_rule`.  It falls
+    back to ``rng.binomial`` itself, from the same generator state, where
+    numpy would not invert (``min(p, 1 - p) * n > 30``) or a drawn
+    uniform reaches the lowest restart threshold of the block's photon
+    numbers.  ``scratch`` is a float buffer of at least one slot per
+    pulse that the uniforms are drawn into.
     """
-
-    def thinning(k):
-        if eta_forward is not None and k >= 2:
-            return k - 1, eta_forward
-        return k, eta_total
-
     k_top = int(n_emitted.max())
+    n_of, p_of = list(range(k_top + 1)), [eta_total] * (k_top + 1)
+    if eta_forward is not None:
+        n_of[2:], p_of[2:] = range(1, k_top), [eta_forward] * (k_top - 1)
+
+    def numpy_clicks():
+        n_eff = np.take(n_of, n_emitted)
+        if blocked is not None:
+            n_eff[blocked] = 0
+        return rng.binomial(n_eff, np.take(p_of, n_emitted)) >= 1
+
     # p * n grows with k at fixed p, and k = 1 always inverts, so the
     # largest photon number decides whether numpy leaves inversion
-    if not _inverts(*thinning(k_top)):
-        return _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward)
+    if not _inverts(n_of[k_top], p_of[k_top]):
+        return numpy_clicks()
     drawn = np.zeros(k_top + 1, dtype=bool)
     lo = np.full(k_top + 1, -1.0)
     hi = np.full(k_top + 1, 2.0)
     restart = 1.0
     for k in range(1, k_top + 1):
-        n, p = thinning(k)
-        if p > 0.0:
+        if p_of[k] > 0.0:
             drawn[k] = True
-            lo[k], hi[k], r = _click_rule(n, p)
+            lo[k], hi[k], r = _click_rule(n_of[k], p_of[k])
             restart = min(restart, r)
     live = drawn.take(n_emitted)
     if blocked is not None:
@@ -313,7 +305,7 @@ def _photon_clicks(rng, n_emitted, blocked, eta_total, eta_forward, scratch):
     u = rng.random(out=scratch[: index.size])
     if restart < 1.0 and index.size and u.max() >= restart:
         rng.bit_generator.state = state
-        return _binomial_clicks(rng, n_emitted, blocked, eta_total, eta_forward)
+        return numpy_clicks()
     k = n_emitted.take(index)
     click = u > lo.take(k)
     if hi.min() < 1.0:

@@ -36,6 +36,7 @@ from .params import (
 )
 from .photon_stats import brp_empty_prob, total_efficiency, transmittance
 from .security import (
+    _SECURE,
     SecurityReport,
     _eve_error_clamped,
     _eve_info_single,
@@ -227,10 +228,9 @@ def _reach(
         raise MultipleCrossingsError(crossings)
 
     lo, hi = crossings[0]
-    # field 11 of the report is `secure`, i.e. r_s > 0
     while hi - lo > _DISTANCE_TOL_KM:
         mid = 0.5 * (lo + hi)
-        if _report(mu_s, transmittance(mid, loss) * det.eta_d, det)[11]:
+        if _report(mu_s, transmittance(mid, loss) * det.eta_d, det)[_SECURE]:
             lo = mid
         else:
             hi = mid

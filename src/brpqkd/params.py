@@ -32,8 +32,9 @@ DEFAULT_LOSS_DB_PER_KM = 0.21
 
 
 def _float(value: float) -> float:
+    # -0.0 reads as 0.0, so both spellings of zero are one input downstream
     try:
-        return float(value)
+        return float(value) or 0.0
     except OverflowError:
         # an int beyond the float range stands for the infinity of its sign
         return math.inf if value > 0 else -math.inf

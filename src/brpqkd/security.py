@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -204,6 +204,11 @@ class SecurityReport:
 # evaluate_point builds its report through this twin (see params._unfrozen_twin)
 _UnfrozenReport = _unfrozen_twin(SecurityReport)
 
+# where the kernels' report tuples hold r_s and secure
+_R_S, _SECURE = (
+    [f.name for f in fields(SecurityReport)].index(name) for name in ("r_s", "secure")
+)
+
 
 def evaluate_point(
     source: SourceParams, channel: ChannelParams, det: DetectorParams
@@ -244,4 +249,4 @@ def security_margin(
     # as on the scalar path, results that underflow to zero are intended, and so
     # is d_bob's ratio overflowing where y_exp is subnormal: it clamps to 1/2
     with np.errstate(under="ignore", over="ignore"):
-        return _array_report(mu_s, eta_total, det)[10]  # r_s
+        return _array_report(mu_s, eta_total, det)[_R_S]

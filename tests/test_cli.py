@@ -534,6 +534,24 @@ def test_config_bool_spellings(monkeypatch, capsys, tmp_path, raw, expected):
     assert calls["mc"][-1].eve.forward_multiphoton_lossless is expected
 
 
+def test_a_config_file_with_a_byte_order_mark_sets_its_first_key(monkeypatch, capsys, tmp_path):
+    # some editors begin a UTF-8 file with U+FEFF; it is not part of the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"mu_s = 0.37\nseed = 99\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    from_plain = _calls(monkeypatch, capsys, "--config", str(plain))
+    from_marked = _calls(monkeypatch, capsys, "--config", str(marked))
+    assert from_marked["evaluate"][0].mu_s == from_plain["evaluate"][0].mu_s == 0.37
+    assert from_marked["mc"][0].seed == from_plain["mc"][0].seed == 99
+
+
+def test_a_negative_zero_intensity_reads_as_zero(capsys):
+    # mu_s = 0 expects no clicks; the error names the intensity as 0.0 either way
+    outcomes = [_run(capsys, "evaluate", "--mu-s", zero) for zero in ("-0", "0")]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2 and "mu_s=0.0," in outcomes[0][2]
+
+
 def test_forward_multiphoton_lossless_defaults_differ_on_purpose(monkeypatch, capsys):
     # the CLI runs the canonical splitting attack (the pns golden pins it); the
     # library's EvePolicy keeps a null policy that replays the honest stream

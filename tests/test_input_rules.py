@@ -258,3 +258,42 @@ def test_a_source_marker_other_than_ideal_is_rejected(call):
     for marker in (IDEAL_SOURCE.upper(), IDEAL_SOURCE + " ", "0.5"):
         with pytest.raises(ValueError, match=f"^unknown source marker {marker!r}$"):
             call(marker)
+
+
+# (id, a call that stores its argument, read back) for each rule that accepts a zero
+_STORED_ZEROS = [
+    ("SourceParams.mu_s", lambda z: SourceParams(mu_s=z).mu_s),
+    ("SourceParams.mu_b", lambda z: SourceParams(mu_s=0.5, mu_b=z).mu_b),
+    ("ChannelParams.length_km", lambda z: ChannelParams(length_km=z).length_km),
+    ("ChannelParams.loss_db_per_km", lambda z: ChannelParams(1.0, z).loss_db_per_km),
+    *((f"DetectorParams.{name}",
+       lambda z, name=name: getattr(DetectorParams(**{"eta_d": 0.1, name: z}), name))
+      for name in ("eta_d", "y0", "e_detector", "e_0")),
+    ("OpticalChain.source_intensity", lambda z: _chain(source_intensity=z).source_intensity),
+    ("OpticalChain.alice_split_ratio", lambda z: _chain(alice_split_ratio=(1.0, z))
+     .alice_split_ratio[1]),
+    ("OpticalChain.switch_crosstalk_db",
+     lambda z: _chain(switch_crosstalk_db=z).switch_crosstalk_db),
+    ("EvePolicy.suppress_fraction",
+     lambda z: EvePolicy(mode="pns", suppress_fraction=z).suppress_fraction),
+    ("SweepGrid.mu_s_values", lambda z: SweepGrid((z, 0.5), (0.0,), GYS_DETECTOR).mu_s_values[0]),
+    ("SweepGrid.length_values_km",
+     lambda z: SweepGrid((0.5,), (z, 1.0), GYS_DETECTOR).length_values_km[0]),
+]
+
+
+@pytest.mark.parametrize("store", [case[1] for case in _STORED_ZEROS],
+                         ids=[case[0] for case in _STORED_ZEROS])
+def test_a_negative_zero_is_stored_as_zero(store):
+    # -0.0 passes every ">= 0" comparison; its sign must not reach the model
+    stored = store(-0.0)
+    assert stored == 0.0 and math.copysign(1.0, stored) == 1.0
+
+
+def test_a_negative_zero_grid_value_fails_as_zero_does():
+    # mu_s = 0 expects no clicks, and the error names the intensity
+    grids = ([-0.0, 0.5], [0.0, 0.5])
+    outcomes = [_outcome(lambda g: optimal_signal_intensity(GYS_DETECTOR, 0.21, g), grid)
+                for grid in grids]
+    assert outcomes[0] == outcomes[1]
+    assert "mu_s=0.0," in outcomes[0][1]

@@ -442,30 +442,37 @@ def _patch_streams(monkeypatch, make_rng, used):
     monkeypatch.setitem(globals(), "derive_stream", derive)
 
 
-def test_restart_falls_back_to_numpy(monkeypatch):
+@pytest.mark.parametrize("eve, mu_s", [
+    (EvePolicy(), 0.05),
+    # k photons thin as B(k - 1, eta_d): at length 0 a two-photon pulse restarts too
+    (EvePolicy(mode="pns", forward_multiphoton_lossless=True), 0.5),
+], ids=["honest", "forward"])
+def test_restart_falls_back_to_numpy(monkeypatch, eve, mu_s):
     """A uniform past numpy's restart threshold is redrawn as numpy redraws it.
 
     At p = 0.46 a one-photon draw restarts at the largest uniform.  The
     block's stream is built so that the first thinning uniform is that
     one; the mirror must hand the block to rng.binomial and end on the
-    same stream position with the same counts.
+    same stream position with the same counts.  Under lossless
+    forwarding the stream must also emit a multi-photon pulse, so the
+    fallback thins by the forwarding entries of the block's table.
     """
     assert _click_rule(1, 0.46)[2] == 1.0 - 2.0**-53
     det = DetectorParams(eta_d=0.46, y0=0.0, e_detector=0.1)
-    config = _config(mu_s=0.05, mu_b=2.0, length_km=0.0, det=det, n_pulses=64)
+    config = _config(mu_s=mu_s, mu_b=2.0, length_km=0.0, det=det, n_pulses=64, eve=eve)
     top = 1.0 - 2.0**-53
     for high in range(1, 200):
         high = (high * 0x9E3779B97F4A7C15) & _WORD
-        for consumed in range(2 * 64 + 1, 2 * 64 + 8):
+        for consumed in range(2 * 64 + 1, 2 * 64 + 8 + int(128 * mu_s)):
             def make_rng():
                 rng = _generator_emitting(top, high)
                 rng.bit_generator.advance((1 << 128) - consumed)
                 return rng
 
             probe = make_rng()
-            probe.poisson(0.05, 64)
+            n_emitted = probe.poisson(mu_s, 64)
             probe.random(64)
-            if probe.random() == top:
+            if probe.random() == top and (eve.mode == "none" or n_emitted.max() >= 2):
                 used = []
                 _patch_streams(monkeypatch, make_rng, used)
                 assert _block_counts(config, 0, 64) == _reference_block_counts(config, 0, 64)
