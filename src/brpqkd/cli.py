@@ -19,6 +19,7 @@ model.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -135,45 +136,74 @@ def _cell(value: object) -> str:
 
 def _column(values: Sequence[object]) -> list[str]:
     # the text of each cell; the number rule of format_number is written
-    # here, applied once per run of equal floats (a table column repeats
-    # its coordinates).  Only floats are compared with the last float,
-    # because True == 1 == 1.0 spell differently; -0.0 and 0.0 both print "0".
-    texts = []
-    last = text = None
-    for value in values:
-        if type(value) is not float:
-            texts.append(_cell(value))
-            continue
-        if value != last:
-            last = value
-            if value != value:
-                text = "nan"
-            elif value == 0:
-                text = "0"
-            elif -1e-3 < value < 1e-3:
-                text = format(value, ".8e")
-            else:
-                text = format(value, ".9g")
-        texts.append(text)
-    return texts
+    # here.  Only a float takes it: True, 1 and 1.0 spell differently.
+    return [
+        _cell(value) if type(value) is not float
+        else "nan" if value != value
+        else "0" if value == 0  # -0.0 too
+        else format(value, ".8e") if -1e-3 < value < 1e-3
+        else format(value, ".9g")
+        for value in values
+    ]
 
 
-def _render_columns(columns: dict[str, Sequence[object]], fmt: str) -> str:
-    # columns of equal length, one per output field in output order
-    if fmt == "json":
-        # a float is printed as the float its text spells, as in CSV
-        values = [[float(text) if isinstance(value, float) else value
-                   for value, text in zip(column, _column(column))] for column in columns.values()]
-        payload = [dict(zip(columns, row)) for row in zip(*values)]
-        body = payload[0] if len(payload) == 1 else payload
-        return json.dumps(body, indent=2, allow_nan=False) + "\n"
-    texts = [_column(column) for column in columns.values()]
-    return "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n"
+def _texts(values: Sequence[object], fmt: str) -> list[str]:
+    # each value as fmt prints it: its CSV cell, or its JSON token, where a
+    # float is the float its CSV text spells, so both formats print one number
+    texts = _column(values)
+    if fmt == "csv":
+        return texts
+    tokens = [repr(float(text)) if isinstance(value, float) else json.dumps(value)
+              for value, text in zip(values, texts)]
+    # only a float's token can be one of these; a string's is quoted
+    found = [tokens.index(token) for token in ("nan", "inf", "-inf") if token in tokens]
+    if found:
+        raise ValueError(f"Out of range float values are not JSON compliant: {tokens[min(found)]}")
+    return tokens
+
+
+def _repeated_texts(values: Sequence[float], fmt: str) -> list[str]:
+    # _texts of a float column that repeats its values, formatted once per value
+    distinct = list(dict.fromkeys(values))
+    text_of = dict(zip(distinct, _texts(distinct, fmt)))
+    return list(map(text_of.__getitem__, values))
+
+
+def _grid_texts(outer: Sequence[object], inner: Sequence[object],
+                fmt: str) -> tuple[list[str], list[str]]:
+    # the two coordinate columns of a table ordered by (outer, inner),
+    # each coordinate formatted once
+    inner_texts = _texts(inner, fmt)
+    outer_column = [text for text in _texts(outer, fmt) for _ in inner_texts]
+    return outer_column, inner_texts * len(outer)
+
+
+def _json_record(names: Sequence[str], indent: str) -> str:
+    # a %-template of one record as json.dumps(indent=2) lays it out at this indent
+    keys = [json.dumps(name).replace("%", "%%") for name in names]
+    lines = ",\n".join(f"{indent}  {key}: %s" for key in keys)
+    return f"{indent}{{\n{lines}\n{indent}}}"
+
+
+def _render_texts(columns: dict[str, list[str]], fmt: str) -> str:
+    # columns of equal length holding _texts, one per output field in output order
+    rows = zip(*columns.values())
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    # json.dumps(indent=2) of the records: one bare object, or a list of them
+    rows = list(rows)
+    if not rows:
+        return "[]\n"
+    if len(rows) == 1:
+        return _json_record(columns, "") % rows[0] + "\n"
+    template = _json_record(columns, "  ")
+    return "[\n" + ",\n".join([template % row for row in rows]) + "\n]\n"
 
 
 def _render(records: list[dict[str, object]], fmt: str) -> str:
     names = records[0].keys() if records else ()
-    return _render_columns({name: [record[name] for record in records] for name in names}, fmt)
+    return _render_texts({name: _texts([record[name] for record in records], fmt)
+                          for name in names}, fmt)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -283,7 +313,7 @@ _OPTIMIZE_GRID = tuple(i / 20 for i in range(2, 21))  # 0.10, 0.15, ..., 1.00
 _SWEEP_MU_GRID = tuple(i / 10 for i in range(1, 11))  # 0.1, 0.2, ..., 1.0
 _SWEEP_LENGTHS = tuple(float(length) for length in range(0, 201))
 _DISTURBANCE_GRID = tuple(i / 400 for i in range(0, 101))  # 0 .. 0.25
-_DISTANCE_FIELDS = ("mu_s", "length_km", "r_bob", "r_eve", "r_s")  # of a SweepRow
+_DISTANCE_VALUES = ("r_bob", "r_eve", "r_s")  # of a SweepRow, after mu_s and length_km
 _DISTURBANCE_FIELDS = ("mu_s", "d", "i_ab", "i_ae")
 
 
@@ -322,7 +352,9 @@ def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> tuple[s
 def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     det = _detector(config)
     mu_values = config.mu_s or _SWEEP_MU_GRID
-    columns: dict[str, Sequence[object]]
+    fmt = args.fmt
+    # every value is computed before any is formatted, so a bad input fails
+    # with the library's error, not with a JSON one
     if args.axis == "distance":
         grid = SweepGrid(
             mu_s_values=mu_values,
@@ -330,16 +362,19 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str,
             det=det,
             loss_db_per_km=config.loss_db_km,
         )
-        rows = sweep(grid)
-        columns = {name: list(map(attrgetter(name), rows)) for name in _DISTANCE_FIELDS}
+        rows = sweep(grid)  # ordered by (mu_s, length_km)
+        texts = [*_grid_texts(grid.mu_s_values, grid.length_values_km, fmt),
+                 *(_texts(list(map(attrgetter(name), rows)), fmt) for name in _DISTANCE_VALUES)]
+        columns = dict(zip(("mu_s", "length_km", *_DISTANCE_VALUES), texts))
     else:  # disturbance
-        records = (
-            (label, d, *disturbance_tradeoff(label, d))
-            for label in (IDEAL_SOURCE, *mu_values)
-            for d in _DISTURBANCE_GRID
-        )
-        columns = dict(zip(_DISTURBANCE_FIELDS, zip(*records)))
-    return _render_columns(columns, args.fmt), EXIT_OK
+        labels = (IDEAL_SOURCE, *mu_values)
+        i_ab, i_ae = zip(*[disturbance_tradeoff(label, d)
+                           for label in labels for d in _DISTURBANCE_GRID])
+        # i_ab depends on d alone, so it repeats once per source
+        texts = [*_grid_texts(labels, _DISTURBANCE_GRID, fmt),
+                 _repeated_texts(i_ab, fmt), _texts(i_ae, fmt)]
+        columns = dict(zip(_DISTURBANCE_FIELDS, texts))
+    return _render_texts(columns, fmt), EXIT_OK
 
 
 def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
@@ -422,35 +457,39 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and kept: parsing leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="brp-qkd",
         description="Security analysis of weak-pulse QKD protected by bright reference pulses.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    # each command, its handler, its default output format and its help text
+    # each command, its default output format and its help text; its handler
+    # is _cmd_<command>, looked up when main runs
     commands = [
-        ("evaluate", _cmd_evaluate, "json", "evaluate the security of one working point"),
-        ("optimize", _cmd_optimize, "json", "find the signal intensity maximizing secure reach"),
-        ("sweep", _cmd_sweep, "csv", "tabulate rates over a distance or disturbance grid"),
-        ("mc-validate", _cmd_mc_validate, "json", "check the analytic model against Monte Carlo"),
-        ("budget", _cmd_budget, "json", "propagate intensities through the optical chain"),
+        ("evaluate", "json", "evaluate the security of one working point"),
+        ("optimize", "json", "find the signal intensity maximizing secure reach"),
+        ("sweep", "csv", "tabulate rates over a distance or disturbance grid"),
+        ("mc-validate", "json", "check the analytic model against Monte Carlo"),
+        ("budget", "json", "propagate intensities through the optical chain"),
     ]
-    for name, handler, fmt, help_text in commands:
+    for name, fmt, help_text in commands:
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
         _add_shared_options(sub)
         if name == "sweep":
             sub.add_argument("axis", choices=["distance", "disturbance"],
                              help="sweep variable")
-        sub.set_defaults(handler=handler, fmt=fmt)
+        sub.set_defaults(fmt=fmt)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        text, code = args.handler(_build_config(args), args)
+        text, code = handler(_build_config(args), args)
         _emit(text, args.out)
         return code
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -93,11 +93,12 @@ def _any_flagged(flags) -> bool:
 
 
 def _first_flagged(mu_s, eta_total, flags):
-    # the intensity and efficiency of the first flagged point, rows in order
-    if flags.ndim == 2:
+    # the intensity and efficiency of the first flagged point, rows in order; only
+    # a column of intensities has rows, and a float intensity flags eta_total's shape
+    if np.ndim(mu_s) == 2:
         row = int(np.argmax(flags.any(axis=1)))
         mu_s, flags = float(mu_s[row, 0]), flags[row]
-    return mu_s, float(eta_total[np.argmax(flags)])
+    return mu_s, float(np.ravel(eta_total)[np.argmax(flags)])
 
 
 def _formulas(exp, expm1, sqrt, h2, clamp_half, where, any_of, first_of):

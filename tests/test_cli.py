@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -389,6 +390,50 @@ def test_csv_renderer_matches_the_per_record_renderer():
     # a column mixing True, 1 and 1.0 keeps each value's own spelling
     mixed = [{"x": value} for value in (1.0, True, 1, 1.0, False, 0, 0.0, -0.0, True)]
     assert cli._render(mixed, "csv") == _seed_csv(mixed) == "x\n1\ntrue\n1\n1\nfalse\n0\n0\n0\ntrue\n"
+
+
+def test_json_renderer_matches_the_per_record_renderer():
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3,
+                math.nextafter(1e-3, 0.0), math.nextafter(1e-3, 1.0),
+                math.nextafter(-1e-3, 0.0), math.nextafter(-1e-3, -1.0),
+                1e20, -1e20, 146.2578125, 3.344946485685963e-08, 1.0,
+                1, -7, 0, True, False, "ideal"]
+    records = [
+        {"mu_s": "ideal" if i % 7 == 0 else specials[i % 5], "a": specials[i % len(specials)],
+         "b": specials[(3 * i) % len(specials)], "c": specials[-1 - i % len(specials)]}
+        for i in range(3 * len(specials))
+    ]
+    for count in (0, 1, 2, len(records)):
+        assert cli._render(records[:count], "json") == _seed_json(records[:count]), count
+    for bad in (math.nan, math.inf, -math.inf):
+        for rows in ([{"a": 1.0, "b": bad}], [{"a": 1.0, "b": 2.0}, {"a": bad, "b": 2.0}]):
+            with pytest.raises(ValueError, match=f"not JSON compliant: {bad}$"):
+                cli._render(rows, "json")
+        assert cli._render([{"a": bad}], "csv") == f"a\n{_seed_cell(bad)}\n"
+
+
+def test_one_parser_serves_many_calls_in_a_row(capsys, monkeypatch):
+    # the same bytes as one call per fresh process, and a handler patched
+    # after the parser was built is the one that runs
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["sweep", "distance", "--mu-s", "0.5"], ["sweep", "distance"],
+             ["evaluate", "--format", "csv"], ["optimize"]]
+    commands = ("evaluate", "optimize", "sweep", "mc-validate", "budget")
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def fresh(*argv):
+        done = subprocess.run([sys.executable, "-m", "brpqkd", *argv],
+                              capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    for argv in calls:
+        assert _run(capsys, *argv) == fresh(*argv), argv
+    monkeypatch.setattr(cli, "_cmd_evaluate", lambda config, args: ("patched\n", 0))
+    assert _run(capsys, "evaluate") == (0, "patched\n", "")
+    for command in commands:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert (exit_info.value.code, capsys.readouterr().out) == fresh(command, "--help")[:2]
 
 
 _TABLE_MU = tuple(i / 100 for i in sorted(random.Random(2026).sample(range(1, 151), 40)))

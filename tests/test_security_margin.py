@@ -69,6 +69,19 @@ def test_both_paths_raise_where_no_clicks_are_expected():
         )
 
 
+@pytest.mark.parametrize("eta_total", [
+    0.0, np.float64(0.0), np.array(0.0), np.zeros((2, 3)), np.array([[0.1, 0.2], [0.3, 0.0]]),
+], ids=["float", "float64", "0-d", "2-d zeros", "2-d last"])
+def test_a_float_intensity_names_the_point_over_any_efficiency_shape(eta_total):
+    with pytest.raises(UndefinedPointError, match=r"mu_s=0\.5, eta_total=0\.0$"):
+        security_margin(0.5, eta_total, GYS_DETECTOR)
+
+
+def test_an_intensity_column_names_its_first_flagged_row():
+    with pytest.raises(UndefinedPointError, match=r"mu_s=0\.7, eta_total=0\.0$"):
+        security_margin([0.7, 0.5], np.array([0.1, 0.0]), GYS_DETECTOR)
+
+
 @pytest.mark.parametrize("det", [GYS_DETECTOR, IDEAL_DETECTOR])
 def test_kernel_raises_no_floating_point_error(det):
     eta_total = transmittance(LENGTHS, 0.21) * det.eta_d
