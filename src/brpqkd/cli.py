@@ -51,6 +51,7 @@ from .params import (
     ChannelParams,
     DetectorParams,
     SourceParams,
+    _check_finite,
 )
 from .security import SecurityReport, evaluate_point
 
@@ -367,7 +368,8 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str,
                  *(_texts(list(map(attrgetter(name), rows)), fmt) for name in _DISTANCE_VALUES)]
         columns = dict(zip(("mu_s", "length_km", *_DISTANCE_VALUES), texts))
     else:  # disturbance
-        labels = (IDEAL_SOURCE, *mu_values)
+        # +inf passes disturbance_tradeoff's > 0 rule; checked here, CSV and JSON reject it alike
+        labels = (IDEAL_SOURCE, *(_check_finite("mu_s", mu_s) for mu_s in mu_values))
         i_ab, i_ae = zip(*[disturbance_tradeoff(label, d)
                            for label in labels for d in _DISTURBANCE_GRID])
         # i_ab depends on d alone, so it repeats once per source

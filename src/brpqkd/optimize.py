@@ -18,7 +18,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, fields, make_dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -175,14 +175,17 @@ def secure_distance(
     """
     mu_s = _check_nonnegative("mu_s", mu_s)
     loss = _check_nonnegative("loss_db_per_km", loss_db_per_km)
-    return _memo_reach(mu_s, det, loss, functools.partial(_scan_efficiencies, det, loss))
+    return _memo_reach(mu_s, det, loss)
 
 
+@functools.lru_cache(maxsize=64)
 def _scan_efficiencies(det: DetectorParams, loss: float) -> np.ndarray:
-    # the total efficiency at each length of the scan grid, for a checked loss;
-    # as on the scalar path, a huge loss overflows to a zero transmittance
+    # the total efficiency at each scan length: one 8 KB table per (det, checked loss),
+    # shared read-only by every search; as on the scalar path, a huge loss overflows to 0
     with np.errstate(over="ignore"):
-        return transmittance(_SCAN_GRID_KM, loss) * det.eta_d
+        table = transmittance(_SCAN_GRID_KM, loss) * det.eta_d
+    table.flags.writeable = False
+    return table
 
 
 def _remember(key: tuple[float, DetectorParams, float], found: SecureDistance) -> None:
@@ -192,14 +195,13 @@ def _remember(key: tuple[float, DetectorParams, float], found: SecureDistance) -
         _reach_memo[key] = found
 
 
-def _memo_reach(
-    mu_s: float, det: DetectorParams, loss: float, efficiencies: Callable[[], np.ndarray]
-) -> SecureDistance:
-    """Reach of one checked intensity, from the memo or scanned on ``efficiencies()``."""
+def _memo_reach(mu_s: float, det: DetectorParams, loss: float) -> SecureDistance:
+    """Reach of one checked intensity, from the memo or scanned on the shared scan table."""
     key = (mu_s, det, loss)
     found = _reach_memo.get(key)
     if found is None:
-        found = _reach(mu_s, security_margin(mu_s, efficiencies(), det) > 0.0, det, loss)
+        efficiencies = _scan_efficiencies(det, loss)
+        found = _reach(mu_s, security_margin(mu_s, efficiencies, det) > 0.0, det, loss)
         _remember(key, found)
     return found
 
@@ -238,15 +240,12 @@ def _reach(
 
 
 def _grid_reaches(
-    mu_values: Sequence[float],
-    det: DetectorParams,
-    loss: float,
-    efficiencies: Callable[[], np.ndarray],
+    mu_values: Sequence[float], det: DetectorParams, loss: float
 ) -> list[SecureDistance]:
     """Reach of each checked intensity of an increasing grid, in order.
 
     Reaches the memo holds are taken from it.  The others are scanned
-    on ``efficiencies()``, :data:`_SCAN_BLOCK_ROWS` at a time in
+    on the shared scan table, :data:`_SCAN_BLOCK_ROWS` at a time in
     increasing order, and the search raises what :func:`secure_distance`
     raises at the first intensity that fails (the memo holds no failing
     one).  Only an intensity whose product with the smallest efficiency
@@ -258,7 +257,8 @@ def _grid_reaches(
     missing = [i for i, found in enumerate(reaches) if found is None]
     for start in range(0, len(missing), _SCAN_BLOCK_ROWS):
         block = missing[start:start + _SCAN_BLOCK_ROWS]
-        rows = security_margin([mu_values[i] for i in block], efficiencies(), det) > 0.0
+        efficiencies = _scan_efficiencies(det, loss)
+        rows = security_margin([mu_values[i] for i in block], efficiencies, det) > 0.0
         for i, flags in zip(block, rows):
             reaches[i] = found = _reach(mu_values[i], flags, det, loss)
             _remember(keys[i], found)
@@ -301,16 +301,14 @@ def optimal_signal_intensity(
     if not checked:
         raise invalid
     loss = _check_nonnegative("loss_db_per_km", loss_db_per_km)
-    # the scan grid's efficiencies, built once and only if some reach is not memoized
-    efficiencies = functools.cache(functools.partial(_scan_efficiencies, det, loss))
-    evaluated = dict(zip(checked, _grid_reaches(checked, det, loss, efficiencies)))
+    evaluated = dict(zip(checked, _grid_reaches(checked, det, loss)))
     if invalid is not None:
         raise invalid
 
     def reach(mu: float) -> float:
         # probes lie between checked grid values, so they are valid intensities
         if mu not in evaluated:
-            evaluated[mu] = _memo_reach(mu, det, loss, efficiencies)
+            evaluated[mu] = _memo_reach(mu, det, loss)
         return evaluated[mu].distance_km
 
     distances = [evaluated[mu].distance_km for mu in mu_values]
@@ -327,7 +325,7 @@ def optimal_signal_intensity(
     if hi_i - lo_i >= 2:
         # the midpoint of two huge intensities can overflow, so it is checked
         mid = _check_nonnegative("mu_s", 0.5 * (mu_values[lo_i] + mu_values[hi_i]))
-        at_mid = _memo_reach(mid, det, loss, efficiencies)
+        at_mid = _memo_reach(mid, det, loss)
         return OptimalIntensity(
             mu_s_star=mid,
             distance_km=at_mid.distance_km,
@@ -343,7 +341,7 @@ def optimal_signal_intensity(
     # only if c's row does too, and the block raises what reach(c) and then
     # reach(d) would (see _grid_reaches)
     fresh = [mu for mu in (c, d) if mu not in evaluated]
-    evaluated.update(zip(fresh, _grid_reaches(fresh, det, loss, efficiencies)))
+    evaluated.update(zip(fresh, _grid_reaches(fresh, det, loss)))
     f_c, f_d = evaluated[c].distance_km, evaluated[d].distance_km
     while b - a > _MU_TOL:
         if f_c < f_d:

@@ -1,6 +1,8 @@
 """Command line surface: exit codes, output formats, config handling."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brpqkd import cli, linkbudget, security
@@ -462,6 +464,60 @@ def test_sweep_tables_equal_the_per_record_reference(capsys, preset, det, loss):
             assert (code, err) == (0, "")
             # compared by line: a diff of the whole table would take minutes
             assert out.splitlines(True) == reference(records).splitlines(True), (axis, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mu_s", ["inf", "0.5,inf"])
+def test_an_infinite_intensity_fails_a_disturbance_table_in_every_format(capsys, mu_s, fmt):
+    # disturbance_tradeoff lets +inf through its > 0 rule; the table must not
+    code, out, err = _run(capsys, "sweep", "disturbance", f"--mu-s={mu_s}", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: mu_s must be finite, got inf\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("axis", ["distance", "disturbance"])
+def test_a_nan_intensity_is_named_not_finite_on_both_sweep_axes(capsys, axis, fmt):
+    code, out, err = _run(capsys, "sweep", axis, "--mu-s=nan", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: mu_s must be finite, got nan\n")
+
+
+_CONTRACT_COMMANDS = [
+    ("evaluate",), ("optimize",), ("sweep", "distance"), ("sweep", "disturbance"),
+    ("mc-validate", "--n-pulses", "10000"), ("budget",),
+]
+_FLOAT_FLAGS = ["mu-s", *(f.name.replace("_", "-") for f in cli._FLAG_FIELDS
+                          if cli._KEY_TYPES[f.name] is float)]
+_EDGE_VALUES = ["inf", "-inf", "nan", "0", "-0", "1e308", "800", "710", "1e-320", "-1", "0.5"]
+
+
+def _invoke(argv):
+    # main in-process, without capsys, which hypothesis would share between examples
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(_CONTRACT_COMMANDS), flag=st.sampled_from(_FLOAT_FLAGS),
+       value=st.sampled_from(_EDGE_VALUES))
+@example(command=("sweep", "disturbance"), flag="mu-s", value="inf")
+def test_every_command_exits_alike_in_csv_and_json(command, flag, value):
+    # --flag=value, so that argparse reads "-inf" as a value, not as an option
+    codes = []
+    for fmt in ("csv", "json"):
+        code, out, err = _invoke([*command, f"--{flag}={value}", "--format", fmt])
+        assert code in (0, 2, 3, 4), (fmt, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (fmt, out, err)
+        elif fmt == "csv":
+            header, *rows = out.splitlines()
+            width = header.count(",")
+            assert rows and all(row.count(",") == width for row in rows)
+        else:
+            json.loads(out)
+        codes.append(code)
+    assert codes[0] == codes[1], codes
 
 
 def test_arithmetic_errors_exit_2_without_a_traceback(capsys, monkeypatch):

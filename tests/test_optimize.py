@@ -35,6 +35,7 @@ from brpqkd import (
     secure_distance,
     sweep,
 )
+from brpqkd.photon_stats import transmittance
 from brpqkd.security import security_margin
 
 mp.dps = 50
@@ -774,6 +775,36 @@ def test_a_plan_scans_only_the_grid_values_it_has_not_seen(monkeypatch):
     # the other 12 grid values six at a time, then the probes as before
     assert rows == [6, 6, 2] + [1] * 10
     assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
+
+
+def test_searches_share_one_read_only_scan_table_per_detector_and_loss(monkeypatch):
+    builds = []
+
+    def counting(length_km, loss):
+        if np.ndim(length_km):  # the scan grid, not a bisection length
+            builds.append(loss)
+        return transmittance(length_km, loss)
+
+    monkeypatch.setattr(brpqkd.optimize, "transmittance", counting)
+    tables = brpqkd.optimize._scan_efficiencies
+    tables.cache_clear()
+    reaches = [tuple(secure_distance(mu, GYS_DETECTOR, 0.21)) for mu in (0.5, 0.33, 0.71)]
+    best = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
+    assert builds == [0.21] and tables.cache_info().misses == 1
+    assert reaches[0] == (146.2578125, False)
+    assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
+    # a detector equal by value shares the table
+    twin = DetectorParams(eta_d=0.045, y0=1.7e-6, e_detector=0.033)
+    secure_distance(0.52, twin, 0.21)
+    assert builds == [0.21] and tables.cache_info().misses == 1
+    table = tables(twin, 0.21)
+    assert table is tables(GYS_DETECTOR, 0.21)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    # the same bits as a fresh build
+    assert np.array_equal(table, transmittance(brpqkd.optimize._SCAN_GRID_KM, 0.21) * 0.045)
+    assert tables.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize(
