@@ -27,13 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
-from .linkbudget import (
-    LinkBudgetReport,
-    OpticalChain,
-    afterpulse_error,
-    crosstalk_false_click,
-    propagate,
-)
+from .linkbudget import OpticalChain, afterpulse_error, crosstalk_false_click, propagate
 from .montecarlo import (_EVE_MODES, EvePolicy, McConfig, compare_with_model, simulate,
                          simulate_attack)
 from .optimize import (
@@ -52,8 +46,9 @@ from .params import (
     DetectorParams,
     SourceParams,
     _check_finite,
+    _check_grid,
 )
-from .security import SecurityReport, evaluate_point
+from .security import evaluate_point
 
 __all__ = ["main", "run", "format_number"]
 
@@ -293,8 +288,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _detector(config: ExperimentConfig) -> DetectorParams:
-    return DetectorParams(**{f.name: getattr(config, f.name) for f in fields(DetectorParams)})
+def _from_config(cls: type, config: ExperimentConfig, **given: object):
+    # a library record: each field not given is the config key of its name
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls) if f.name not in given},
+               **given)
 
 
 def _channel(config: ExperimentConfig) -> ChannelParams:
@@ -321,38 +318,25 @@ _DISTURBANCE_FIELDS = ("mu_s", "d", "i_ab", "i_ae")
 def _cmd_evaluate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     mu_s = _single_mu(config, "evaluate")
     source = SourceParams(mu_s=mu_s, mu_b=config.mu_b)
-    report = evaluate_point(source, _channel(config), _detector(config))
-    record: dict[str, object] = {
-        "mu_s": mu_s,
-        "mu_b": config.mu_b,
-        "length_km": config.length_km,
-        "loss_db_km": config.loss_db_km,
-    }
-    record.update((f.name, getattr(report, f.name)) for f in fields(SecurityReport))
+    report = evaluate_point(source, _channel(config), _from_config(DetectorParams, config))
+    record = {"mu_s": mu_s, "mu_b": config.mu_b, "length_km": config.length_km,
+              "loss_db_km": config.loss_db_km, **asdict(report)}
     return _render([record], args.fmt), EXIT_OK if report.secure else EXIT_INSECURE
 
 
 def _cmd_optimize(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
     grid = config.mu_s or _OPTIMIZE_GRID
-    det = _detector(config)
+    det = _from_config(DetectorParams, config)
     best = optimal_signal_intensity(det, config.loss_db_km, grid)
     channel = ChannelParams(length_km=best.distance_km, loss_db_per_km=config.loss_db_km)
     bound = brp_intensity_bound(best.mu_s_star, channel, det)
-    record = {
-        "mu_s_star": best.mu_s_star,
-        "distance_km": best.distance_km,
-        "plateau": best.plateau,
-        "unbounded": best.unbounded,
-        "mu_b_min": bound.mu_b_min,
-        "g_b0_at_bound": bound.g_b0_at_bound,
-        "suppression_budget": bound.suppression_budget,
-    }
-    return _render([record], args.fmt), EXIT_OK
+    return _render([{**best._asdict(), **bound._asdict()}], args.fmt), EXIT_OK
 
 
 def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
-    det = _detector(config)
-    mu_values = config.mu_s or _SWEEP_MU_GRID
+    det = _from_config(DetectorParams, config)
+    # one rule for both axes; SweepGrid checks the distance axis again
+    mu_values = _check_grid("mu_s_values", config.mu_s or _SWEEP_MU_GRID)
     fmt = args.fmt
     # every value is computed before any is formatted, so a bad input fails
     # with the library's error, not with a JSON one
@@ -389,19 +373,12 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> tupl
         n_pulses=config.n_pulses,
         source=SourceParams(mu_s=mu_s, mu_b=config.mu_b),
         channel=_channel(config),
-        det=_detector(config),
+        det=_from_config(DetectorParams, config),
         seed=config.seed,
     )
     comparisons = compare_with_model(base, simulate(base))
     if config.eve_mode == "pns":
-        attacked = replace(
-            base,
-            eve=EvePolicy(
-                mode="pns",
-                suppress_fraction=config.suppress_fraction,
-                forward_multiphoton_lossless=config.forward_multiphoton_lossless,
-            ),
-        )
+        attacked = replace(base, eve=_from_config(EvePolicy, config, mode="pns"))
         comparisons.extend(
             row._replace(name=f"attack_{row.name}")
             for row in compare_with_model(attacked, simulate_attack(attacked))
@@ -422,28 +399,17 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> tupl
 
 
 def _cmd_budget(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str, int]:
-    chain = OpticalChain(
-        source_intensity=config.source_intensity,
-        channel=_channel(config),
-        alice_split_ratio=(config.alice_split_long, 1.0 - config.alice_split_long),
-        bob_split_ratio=(config.bob_split_long, 1.0 - config.bob_split_long),
-        alice_attenuation_db=config.alice_attenuation_db,
-        bob_attenuation_db=config.bob_attenuation_db,
-        switch_crosstalk_db=config.switch_crosstalk_db,
-    )
+    chain = _from_config(OpticalChain, config, channel=_channel(config))
     report = propagate(chain)
-    record: dict[str, object] = {
+    record = {
         "source_intensity": chain.source_intensity,
         "length_km": config.length_km,
+        **asdict(report),
+        "afterpulse_probability": config.p_afterpulse,
+        "afterpulse_error": afterpulse_error(config.p_afterpulse),
+        "crosstalk_false_click": crosstalk_false_click(
+            report.switch_leak_at_signal_detector, config.eta_d),
     }
-    record.update((f.name, getattr(report, f.name)) for f in fields(LinkBudgetReport))
-    record.update(
-        afterpulse_probability=config.p_afterpulse,
-        afterpulse_error=afterpulse_error(config.p_afterpulse),
-        crosstalk_false_click=crosstalk_false_click(
-            report.switch_leak_at_signal_detector, config.eta_d
-        ),
-    )
     return _render([record], args.fmt), EXIT_OK
 
 

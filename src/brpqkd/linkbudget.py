@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import ChannelParams, _check_fields, _check_nonnegative, _check_probability, _float
+from .params import (ChannelParams, _check_fields, _check_finite_probability, _check_nonnegative,
+                     _check_probability)
 from .photon_stats import channel_transmittance, transmittance
 
 __all__ = [
@@ -30,7 +31,8 @@ __all__ = [
 class OpticalChain:
     """Optical elements between the laser and the detectors.
 
-    Split ratios are (long, short) power fractions and must sum to one.
+    ``alice_split_long`` and ``bob_split_long`` are the power fractions
+    each splitter sends into its long arm; the short arm takes the rest.
     Attenuations are in dB; ``switch_crosstalk_db`` is the isolation of
     the detector-side switch that routes bright pulses away from the
     signal detector.
@@ -38,22 +40,15 @@ class OpticalChain:
 
     source_intensity: float
     channel: ChannelParams
-    alice_split_ratio: tuple[float, float] = (0.5, 0.5)
-    bob_split_ratio: tuple[float, float] = (0.5, 0.5)
+    alice_split_long: float = 0.5
+    bob_split_long: float = 0.5
     alice_attenuation_db: float = 56.0
     bob_attenuation_db: float = 56.0
     switch_crosstalk_db: float = 20.0
 
     def __post_init__(self) -> None:
         _check_fields(self, _check_nonnegative, ("source_intensity",))
-        for name in ("alice_split_ratio", "bob_split_ratio"):
-            ratio = tuple(map(_float, getattr(self, name)))
-            # NaN fails the comparison, so it is rejected too
-            if len(ratio) != 2 or not all(x >= 0.0 for x in ratio):
-                raise ValueError(f"{name} must be two nonnegative fractions, got {ratio}")
-            if abs(ratio[0] + ratio[1] - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1, got {ratio}")
-            object.__setattr__(self, name, ratio)
+        _check_fields(self, _check_finite_probability, ("alice_split_long", "bob_split_long"))
         _check_fields(
             self, _check_nonnegative,
             ("alice_attenuation_db", "bob_attenuation_db", "switch_crosstalk_db"),
@@ -85,8 +80,8 @@ def propagate(chain: OpticalChain) -> LinkBudgetReport:
     long arm.  Dim: both short arms, both attenuators.  Every output
     scales linearly with ``source_intensity``.
     """
-    alice_long, alice_short = chain.alice_split_ratio
-    bob_long, bob_short = chain.bob_split_ratio
+    alice_long, bob_long = chain.alice_split_long, chain.bob_split_long
+    alice_short, bob_short = 1.0 - alice_long, 1.0 - bob_long
     # an attenuation of x dB passes what 1 km at x dB/km passes
     atten_alice = transmittance(1.0, chain.alice_attenuation_db)
     atten_bob = transmittance(1.0, chain.bob_attenuation_db)

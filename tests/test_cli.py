@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from brpqkd import cli, linkbudget, security
 from brpqkd.cli import format_number, main
+from brpqkd.linkbudget import OpticalChain
 from brpqkd.montecarlo import EvePolicy
 from brpqkd.optimize import IDEAL_SOURCE, SweepGrid, disturbance_tradeoff, sweep
-from brpqkd.params import GYS_DETECTOR, IDEAL_DETECTOR
+from brpqkd.params import GYS_DETECTOR, IDEAL_DETECTOR, DetectorParams
 
 
 def _run(capsys, *argv):
@@ -276,9 +277,8 @@ def test_a_nan_split_exits_2_naming_the_split(capsys, tmp_path, key):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = nan\n")
     code, out, err = _run(capsys, "budget", "--config", str(config))
-    name = key.replace("_long", "_ratio")
     assert (code, out) == (2, "")
-    assert err == f"error: {name} must be two nonnegative fractions, got (nan, nan)\n"
+    assert err == f"error: {key} must be finite, got nan\n"
 
 
 def test_a_loss_that_overflows_the_scan_exits_2_with_only_the_error(capsys):
@@ -481,6 +481,15 @@ def test_a_nan_intensity_is_named_not_finite_on_both_sweep_axes(capsys, axis, fm
     assert (code, out, err) == (2, "", "error: mu_s must be finite, got nan\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("axis", ["distance", "disturbance"])
+@pytest.mark.parametrize("mu_s", ["0.5,0.5", "0.9,0.5"])
+def test_an_unordered_intensity_list_fails_both_sweep_axes(capsys, mu_s, axis, fmt):
+    # a repeated value would print its block twice; both axes take one grid rule
+    code, out, err = _run(capsys, "sweep", axis, "--mu-s", mu_s, "--format", fmt)
+    assert (code, out, err) == (2, "", "error: mu_s_values must be strictly increasing\n")
+
+
 _CONTRACT_COMMANDS = [
     ("evaluate",), ("optimize",), ("sweep", "distance"), ("sweep", "disturbance"),
     ("mc-validate", "--n-pulses", "10000"), ("budget",),
@@ -573,8 +582,8 @@ _CONFIG_KEYS = {
     "n_pulses": ("20000", 20000, lambda calls: calls["mc"][0].n_pulses),
     "seed": ("99", 99, lambda calls: calls["mc"][0].seed),
     "source_intensity": ("7e5", 7e5, lambda calls: calls["chain"].source_intensity),
-    "alice_split_long": ("0.6", (0.6, 0.4), lambda calls: calls["chain"].alice_split_ratio),
-    "bob_split_long": ("0.75", (0.75, 0.25), lambda calls: calls["chain"].bob_split_ratio),
+    "alice_split_long": ("0.6", 0.6, lambda calls: calls["chain"].alice_split_long),
+    "bob_split_long": ("0.75", 0.75, lambda calls: calls["chain"].bob_split_long),
     "alice_attenuation_db": ("50", 50.0, lambda calls: calls["chain"].alice_attenuation_db),
     "bob_attenuation_db": ("51", 51.0, lambda calls: calls["chain"].bob_attenuation_db),
     "switch_crosstalk_db": ("22", 22.0, lambda calls: calls["chain"].switch_crosstalk_db),
@@ -623,6 +632,22 @@ def test_every_config_key_reaches_the_command(monkeypatch, capsys, tmp_path, key
     calls = _calls(monkeypatch, capsys, "--config", str(config))
     _, expected, read = _CONFIG_KEYS[key]
     assert read(calls) == expected
+
+
+# the records the CLI builds from config keys, and the fields it passes itself
+@pytest.mark.parametrize("cls, given", [
+    (DetectorParams, ()), (OpticalChain, ("channel",)), (EvePolicy, ("mode",)),
+], ids=["DetectorParams", "OpticalChain", "EvePolicy"])
+def test_every_field_the_cli_fills_is_a_config_key_of_its_name(cls, given):
+    keys = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert {f.name for f in dataclasses.fields(cls)} - keys == set(given)
+
+
+def test_the_chain_defaults_are_its_config_key_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(cli.ExperimentConfig)}
+    chain = [f for f in dataclasses.fields(OpticalChain) if f.default is not dataclasses.MISSING]
+    assert chain
+    assert {f.name: f.default for f in chain} == {f.name: defaults.get(f.name) for f in chain}
 
 
 @pytest.mark.parametrize("raw, expected", [

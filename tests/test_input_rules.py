@@ -107,17 +107,10 @@ CASES = [
      "eta_total"),
     ("OpticalChain.source_intensity", lambda x: _chain(source_intensity=x), "nonnegative",
      "source_intensity"),
+    *((f"OpticalChain.{name}", lambda x, name=name: _chain(**{name: x}), "probability", name)
+      for name in ("alice_split_long", "bob_split_long")),
     *((f"OpticalChain.{name}", lambda x, name=name: _chain(**{name: x}), "nonnegative", name)
       for name in ("alice_attenuation_db", "bob_attenuation_db", "switch_crosstalk_db")),
-    *((f"OpticalChain.{name}", lambda ratio, name=name: _chain(**{name: ratio}),
-       st.one_of(
-           st.tuples(_ANY_FLOAT, _ANY_FLOAT).filter(
-               lambda r: not (r[0] >= 0.0 and r[1] >= 0.0 and abs(r[0] + r[1] - 1.0) <= 1e-9)),
-           st.tuples(_ANY_FLOAT.filter(lambda x: not x >= 0.0)).map(lambda r: (r[0], 1.0 - r[0])),
-           st.just((HUGE, 0.5)),
-           st.just((0.5, 0.25, 0.25)),
-       ),
-       name) for name in ("alice_split_ratio", "bob_split_ratio")),
     ("afterpulse_error", afterpulse_error, "probability", "afterpulse probability"),
     ("crosstalk_false_click.leak_intensity", lambda x: crosstalk_false_click(x, 0.5),
      "nonnegative", "leak_intensity"),
@@ -270,8 +263,7 @@ _STORED_ZEROS = [
        lambda z, name=name: getattr(DetectorParams(**{"eta_d": 0.1, name: z}), name))
       for name in ("eta_d", "y0", "e_detector", "e_0")),
     ("OpticalChain.source_intensity", lambda z: _chain(source_intensity=z).source_intensity),
-    ("OpticalChain.alice_split_ratio", lambda z: _chain(alice_split_ratio=(1.0, z))
-     .alice_split_ratio[1]),
+    ("OpticalChain.alice_split_long", lambda z: _chain(alice_split_long=z).alice_split_long),
     ("OpticalChain.switch_crosstalk_db",
      lambda z: _chain(switch_crosstalk_db=z).switch_crosstalk_db),
     ("EvePolicy.suppress_fraction",

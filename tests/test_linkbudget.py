@@ -21,8 +21,8 @@ def _default_chain(**overrides):
     base = dict(
         source_intensity=8e5,
         channel=ChannelParams(length_km=146.0),
-        alice_split_ratio=(0.5, 0.5),
-        bob_split_ratio=(0.5, 0.5),
+        alice_split_long=0.5,
+        bob_split_long=0.5,
         alice_attenuation_db=56.0,
         bob_attenuation_db=56.0,
         switch_crosstalk_db=20.0,
@@ -85,12 +85,19 @@ def test_signal_to_brp_ratio():
         long_b = rng.uniform(0.1, 0.9)
         atten = rng.uniform(0.0, 80.0)
         chain = _default_chain(
-            alice_split_ratio=(long_a, 1.0 - long_a),
-            bob_split_ratio=(long_b, 1.0 - long_b),
+            alice_split_long=long_a,
+            bob_split_long=long_b,
             alice_attenuation_db=atten,
         )
         report = propagate(chain)
-        expected = 10.0 ** (-atten / 10.0) * (1.0 - long_a) / long_a
+        # each short arm is 1.0 - long, the same floats, so the same bits
+        atten_a, atten_b = 10.0 ** (-atten / 10.0), 10.0 ** (-56.0 / 10.0)
+        assert report.brp_at_alice == 8e5 * long_a * long_b
+        assert report.signal_at_alice == 8e5 * (1.0 - long_a) * atten_a * long_b
+        eta_t = 10.0 ** (-0.21 * 146.0 / 10.0)
+        assert report.dim_at_bob == (
+            8e5 * (1.0 - long_a) * atten_a * (1.0 - long_b) * atten_b * eta_t)
+        expected = atten_a * (1.0 - long_a) / long_a
         assert report.signal_at_alice / report.brp_at_alice == pytest.approx(
             expected, rel=1e-12
         )
@@ -129,20 +136,20 @@ def test_chain_validation():
     with pytest.raises(ValueError):
         _default_chain(source_intensity=-1.0)
     with pytest.raises(ValueError):
-        _default_chain(alice_split_ratio=(0.6, 0.6))
+        _default_chain(alice_split_long=1.1)
     with pytest.raises(ValueError):
-        _default_chain(bob_split_ratio=(-0.1, 1.1))
+        _default_chain(bob_split_long=-0.1)
     with pytest.raises(ValueError):
         _default_chain(alice_attenuation_db=-5.0)
     with pytest.raises(ValueError):
         _default_chain(switch_crosstalk_db=-1.0)
 
 
-@pytest.mark.parametrize("name", ["alice_split_ratio", "bob_split_ratio"])
-@pytest.mark.parametrize("ratio", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
-def test_a_nan_split_ratio_is_rejected(name, ratio):
-    with pytest.raises(ValueError, match=f"^{name} must be two nonnegative fractions, got "):
-        _default_chain(**{name: ratio})
+@pytest.mark.parametrize("name", ["alice_split_long", "bob_split_long"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_split_is_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        _default_chain(**{name: value})
 
 
 def test_source_intensity_is_stored_as_a_float():

@@ -94,10 +94,9 @@ def test_params_keep_a_float_input_as_the_same_object(cls, names):
 
 def test_the_other_checked_records_store_their_checked_values():
     chain = OpticalChain(source_intensity=8, channel=ChannelParams(length_km=1),
-                         alice_split_ratio=[1, 0], alice_attenuation_db=np.float64(3.0))
+                         alice_split_long=1, alice_attenuation_db=np.float64(3.0))
     assert type(chain.source_intensity) is float and chain.source_intensity == 8.0
-    assert chain.alice_split_ratio == (1.0, 0.0)
-    assert [type(x) for x in chain.alice_split_ratio] == [float, float]
+    assert type(chain.alice_split_long) is float and chain.alice_split_long == 1.0
     assert type(chain.alice_attenuation_db) is float
     grid = SweepGrid([1, 2], np.array([0.0, 5.0]), GYS_DETECTOR)
     assert grid.mu_s_values == (1.0, 2.0) and type(grid.mu_s_values[0]) is float
@@ -119,11 +118,11 @@ def test_the_other_checked_records_store_their_checked_values():
     (lambda: DetectorParams(eta_d=0.5, y0=2.0, e_0=math.inf), "y0 must lie in [0, 1], got 2.0"),
     (lambda: DetectorParams(eta_d=0.5, e_0=-math.inf), "e_0 must be finite, got -inf"),
     (lambda: OpticalChain(source_intensity=-1.0, channel=ChannelParams(length_km=1),
-                          alice_split_ratio=(2.0, 0.0)),
+                          alice_split_long=2.0),
      "source_intensity must be >= 0, got -1.0"),
     (lambda: OpticalChain(source_intensity=1.0, channel=ChannelParams(length_km=1),
-                          bob_split_ratio=(0.2, 0.2), alice_attenuation_db=-1.0),
-     "bob_split_ratio must sum to 1, got (0.2, 0.2)"),
+                          bob_split_long=1.5, alice_attenuation_db=-1.0),
+     "bob_split_long must lie in [0, 1], got 1.5"),
     (lambda: OpticalChain(source_intensity=1.0, channel=ChannelParams(length_km=1),
                           bob_attenuation_db=math.nan, switch_crosstalk_db=-1.0),
      "bob_attenuation_db must be finite, got nan"),
