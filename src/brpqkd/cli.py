@@ -119,36 +119,26 @@ _PRESETS: dict[str, DetectorParams] = {"gys2004": GYS_DETECTOR, "ideal": IDEAL_D
 
 def format_number(value: float) -> str:
     """Format a float at 9 significant digits, scientific below 1e-3."""
-    return _column([float(value)])[0]
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_number(value)
-    return str(value)
-
-
-def _column(values: Sequence[object]) -> list[str]:
-    # the text of each cell; the number rule of format_number is written
-    # here.  Only a float takes it: True, 1 and 1.0 spell differently.
-    return [
-        _cell(value) if type(value) is not float
-        else "nan" if value != value
-        else "0" if value == 0  # -0.0 too
-        else format(value, ".8e") if -1e-3 < value < 1e-3
-        else format(value, ".9g")
-        for value in values
-    ]
+    return _texts([float(value)], "csv")[0]
 
 
 def _texts(values: Sequence[object], fmt: str) -> list[str]:
-    # each value as fmt prints it: its CSV cell, or its JSON token, where a
-    # float is the float its CSV text spells, so both formats print one number
-    texts = _column(values)
+    # each value as fmt prints it.  Its CSV cell: a float (np.float64 too) at 9
+    # significant digits, scientific below 1e-3, a bool as true or false, and
+    # anything else as str, so True, 1 and 1.0 spell differently
+    texts = [
+        ("nan" if value != value
+         else "0" if value == 0  # -0.0 too
+         else format(value, ".8e") if -1e-3 < value < 1e-3
+         else format(value, ".9g")) if isinstance(value, float)
+        else ("true" if value else "false") if isinstance(value, bool)
+        else str(value)
+        for value in values
+    ]
     if fmt == "csv":
         return texts
+    # its JSON token, where a float is the float its CSV text spells, so both
+    # formats print one number
     tokens = [repr(float(text)) if isinstance(value, float) else json.dumps(value)
               for value, text in zip(values, texts)]
     # only a float's token can be one of these; a string's is quoted
@@ -158,20 +148,14 @@ def _texts(values: Sequence[object], fmt: str) -> list[str]:
     return tokens
 
 
-def _repeated_texts(values: Sequence[float], fmt: str) -> list[str]:
-    # _texts of a float column that repeats its values, formatted once per value
-    distinct = list(dict.fromkeys(values))
-    text_of = dict(zip(distinct, _texts(distinct, fmt)))
-    return list(map(text_of.__getitem__, values))
-
-
-def _grid_texts(outer: Sequence[object], inner: Sequence[object],
-                fmt: str) -> tuple[list[str], list[str]]:
-    # the two coordinate columns of a table ordered by (outer, inner),
-    # each coordinate formatted once
-    inner_texts = _texts(inner, fmt)
-    outer_column = [text for text in _texts(outer, fmt) for _ in inner_texts]
-    return outer_column, inner_texts * len(outer)
+def _grid_texts(outer: Sequence[object], inner_columns: Sequence[Sequence[object]],
+                fmt: str) -> list[list[str]]:
+    # the columns of a table ordered by (outer value, inner row), each distinct
+    # text formatted once: the outer column, each value repeated once for every
+    # inner row, then each inner column, repeated once for every outer value
+    rows = len(inner_columns[0])
+    outer_column = [text for text in _texts(outer, fmt) for _ in range(rows)]
+    return [outer_column, *(_texts(column, fmt) * len(outer) for column in inner_columns)]
 
 
 def _json_record(names: Sequence[str], indent: str) -> str:
@@ -216,7 +200,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise UsageError(f"expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
@@ -246,16 +230,16 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_key(key: str, raw: str) -> object:
-    if key == "mu_s":
-        return _parse_mu_list(raw)
     kind = _KEY_TYPES[key]
-    if kind is bool:
-        return _parse_bool(raw)
+    if key == "mu_s":
+        parse, expected = _parse_mu_list, "a comma list of floats"
+    else:
+        parse, expected = _parse_bool if kind is bool else kind, kind.__name__
     try:
-        return kind(raw)
+        return parse(raw)
     except ValueError:
         raise UsageError(
-            f"bad value for config key {key!r}: {raw!r} (expected {kind.__name__})"
+            f"bad value for config key {key!r}: {raw!r} (expected {expected})"
         ) from None
 
 
@@ -348,7 +332,7 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str,
             loss_db_per_km=config.loss_db_km,
         )
         rows = sweep(grid)  # ordered by (mu_s, length_km)
-        texts = [*_grid_texts(grid.mu_s_values, grid.length_values_km, fmt),
+        texts = [*_grid_texts(grid.mu_s_values, [grid.length_values_km], fmt),
                  *(_texts(list(map(attrgetter(name), rows)), fmt) for name in _DISTANCE_VALUES)]
         columns = dict(zip(("mu_s", "length_km", *_DISTANCE_VALUES), texts))
     else:  # disturbance
@@ -356,9 +340,9 @@ def _cmd_sweep(config: ExperimentConfig, args: argparse.Namespace) -> tuple[str,
         labels = (IDEAL_SOURCE, *(_check_finite("mu_s", mu_s) for mu_s in mu_values))
         i_ab, i_ae = zip(*[disturbance_tradeoff(label, d)
                            for label in labels for d in _DISTURBANCE_GRID])
-        # i_ab depends on d alone, so it repeats once per source
-        texts = [*_grid_texts(labels, _DISTURBANCE_GRID, fmt),
-                 _repeated_texts(i_ab, fmt), _texts(i_ae, fmt)]
+        # i_ab depends on d alone, so the first source's block repeats for every source
+        first_i_ab = i_ab[:len(_DISTURBANCE_GRID)]
+        texts = [*_grid_texts(labels, [_DISTURBANCE_GRID, first_i_ab], fmt), _texts(i_ae, fmt)]
         columns = dict(zip(_DISTURBANCE_FIELDS, texts))
     return _render_texts(columns, fmt), EXIT_OK
 

@@ -337,12 +337,7 @@ def optimal_signal_intensity(
     b = mu_values[min(best_index + 1, len(mu_values) - 1)]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    # the new opening probes share one call: c <= d, so d's row can lack clicks
-    # only if c's row does too, and the block raises what reach(c) and then
-    # reach(d) would (see _grid_reaches)
-    fresh = [mu for mu in (c, d) if mu not in evaluated]
-    evaluated.update(zip(fresh, _grid_reaches(fresh, det, loss)))
-    f_c, f_d = evaluated[c].distance_km, evaluated[d].distance_km
+    f_c, f_d = reach(c), reach(d)
     while b - a > _MU_TOL:
         if f_c < f_d:
             a, c, f_c = c, d, f_d

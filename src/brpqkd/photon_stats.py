@@ -12,9 +12,9 @@ physically interesting.
 from __future__ import annotations
 
 import math
-import operator
 
-from .params import ChannelParams, DetectorParams, _check_nonnegative, _check_probability
+from .params import (ChannelParams, DetectorParams, _check_integer, _check_nonnegative,
+                     _check_probability)
 
 __all__ = [
     "poisson_pmf",
@@ -74,14 +74,12 @@ def poisson_pmf(n: int, mu: float) -> float:
     ``exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n)``, which keeps full
     relative precision where ``n`` and ``mu`` are large and close.
 
-    ``n`` may be an int of any size.  That form takes ``n`` as the nearest
-    double, so past 2^53 the answer is the pmf at that float, not at
-    ``n``; past 2.8e307 photons, where ``2 pi n`` leaves the float range,
-    the answer is 0.0.
+    ``n`` may be an int of any size, or an integral float such as ``2.0``.
+    That form takes ``n`` as the nearest double, so past 2^53 the answer
+    is the pmf at that float, not at ``n``; past 2.8e307 photons, where
+    ``2 pi n`` leaves the float range, the answer is 0.0.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    n = _check_integer("photon number", n, 0)
     mu = _check_nonnegative("mu", mu)
     if mu == 0.0:
         return 1.0 if n == 0 else 0.0

@@ -366,7 +366,8 @@ _EDGE_FLOATS = [
     math.nextafter(-1e-3, 0.0), math.nextafter(-1e-3, -1.0), 1.0, 146.2578125,
 ]
 _CELLS = st.one_of(
-    st.floats(), st.sampled_from(_EDGE_FLOATS), st.booleans(), st.integers(),
+    st.floats(), st.floats().map(np.float64), st.sampled_from(_EDGE_FLOATS), st.booleans(),
+    st.integers(),
     st.text(alphabet="ideal01", max_size=3),
 )
 
@@ -376,7 +377,7 @@ _CELLS = st.one_of(
 def test_column_formatter_matches_format_number(runs):
     # runs of repeated values, as table coordinates repeat
     values = [value for value, count in runs for _ in range(count)]
-    assert cli._column(values) == [_seed_cell(value) for value in values]
+    assert cli._texts(values, "csv") == [_seed_cell(value) for value in values]
 
 
 def test_csv_renderer_matches_the_per_record_renderer():
@@ -690,16 +691,24 @@ def test_forward_multiphoton_lossless_defaults_differ_on_purpose(monkeypatch, ca
 @pytest.mark.parametrize("line, message", [
     ("mu_b = abc", "error: bad value for config key 'mu_b': 'abc' (expected float)\n"),
     ("n_pulses = 1.5", "error: bad value for config key 'n_pulses': '1.5' (expected int)\n"),
-    ("forward_multiphoton_lossless = maybe", "error: expected a boolean, got 'maybe'\n"),
+    ("forward_multiphoton_lossless = maybe",
+     "error: bad value for config key 'forward_multiphoton_lossless': 'maybe' (expected bool)\n"),
     ("eve_mode = mitm", "error: eve_mode must be 'none' or 'pns', got 'mitm'\n"),
     ("preset = bogus", "error: unknown preset 'bogus' (choices: gys2004, ideal)\n"),
-    ("mu_s = 0.5,x", "error: bad --mu-s value '0.5,x': could not convert string to float: 'x'\n"),
+    ("mu_s = 0.5,x",
+     "error: bad value for config key 'mu_s': '0.5,x' (expected a comma list of floats)\n"),
 ])
 def test_bad_config_values_exit_2_with_their_message(capsys, tmp_path, line, message):
     config = tmp_path / "bad.cfg"
     config.write_text(line + "\n")
     code, out, err = _run(capsys, "evaluate", "--config", str(config))
     assert (code, out, err) == (2, "", message)
+
+
+def test_a_bad_mu_s_flag_names_the_flag(capsys):
+    code, out, err = _run(capsys, "evaluate", "--mu-s", "0.5,x")
+    assert (code, out, err) == (
+        2, "", "error: bad --mu-s value '0.5,x': could not convert string to float: 'x'\n")
 
 
 # flag, the config key it overrides, a file value and a flag value

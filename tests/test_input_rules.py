@@ -100,7 +100,7 @@ CASES = [
     *((f"DetectorParams.{name}", lambda x, name=name: DetectorParams(**{"eta_d": 0.1, name: x}),
        "probability", name) for name in ("eta_d", "y0", "e_detector", "e_0")),
     ("poisson_pmf.mu", lambda x: poisson_pmf(1, x), "nonnegative", "mu"),
-    ("poisson_pmf.n", lambda n: poisson_pmf(n, 0.5), st.integers(max_value=-1),
+    ("poisson_pmf.n", lambda n: poisson_pmf(n, 0.5), _integers_outside(0),
      "photon number"),
     ("brp_empty_prob.mu_b", lambda x: brp_empty_prob(x, 0.5), "nonnegative", "mu_b"),
     ("brp_empty_prob.eta_total", lambda x: brp_empty_prob(1.0, x), "probability",
@@ -215,6 +215,7 @@ def test_integral_floats_count_as_integers():
     assert type(config.n_pulses) is int and type(config.seed) is int
     assert _mc(seed=2**64 - 1).seed == 2**64 - 1
     assert derive_stream(3.0, 2.0).random() == derive_stream(3, 2).random()
+    assert poisson_pmf(3.0, 0.5) == poisson_pmf(3, 0.5)
 
 
 def test_a_positive_rule_lets_infinity_through():

@@ -141,9 +141,7 @@ _NOISY = DetectorParams(eta_d=0.045, y0=1.7e-6, e_detector=0.25)
 _GRID19 = [i / 20 for i in range(2, 21)]
 
 
-def test_the_default_search_scans_its_grid_in_blocks_and_its_opening_probes_together(
-    monkeypatch,
-):
+def test_the_default_search_scans_its_grid_in_blocks(monkeypatch):
     rows = []
 
     def counting(mu_s, eta_total, det):
@@ -152,8 +150,8 @@ def test_the_default_search_scans_its_grid_in_blocks_and_its_opening_probes_toge
 
     monkeypatch.setattr(brpqkd.optimize, "security_margin", counting)
     best = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
-    # 19 grid values six at a time, both opening probes, then one probe per step
-    assert rows == [6, 6, 6, 1, 2] + [1] * 10
+    # 19 grid values six at a time, then one probe at a time
+    assert rows == [6, 6, 6, 1] + [1] * 12
     assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
 
 
@@ -764,7 +762,7 @@ def test_a_warm_default_plan_scans_nothing(monkeypatch):
     assert rows == []
     # another loss is another question
     optimal_signal_intensity(GYS_DETECTOR, 0.22, _GRID19)
-    assert rows[:5] == [6, 6, 6, 1, 2]
+    assert rows[:5] == [6, 6, 6, 1, 1]
 
 
 def test_a_plan_scans_only_the_grid_values_it_has_not_seen(monkeypatch):
@@ -773,7 +771,7 @@ def test_a_plan_scans_only_the_grid_values_it_has_not_seen(monkeypatch):
     rows = _counting_margin_calls(monkeypatch)
     best = optimal_signal_intensity(GYS_DETECTOR, 0.21, _GRID19)
     # the other 12 grid values six at a time, then the probes as before
-    assert rows == [6, 6, 2] + [1] * 10
+    assert rows == [6, 6] + [1] * 12
     assert tuple(best) == (0.4642425845017245, 146.3046875, False, False)
 
 

@@ -109,7 +109,7 @@ def test_poisson_pmf_rejects_bad_arguments():
         poisson_pmf(-1, 0.5)
     with pytest.raises(ValueError):
         poisson_pmf(2, -0.1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^photon number must be an integer, got 1\.5$"):
         poisson_pmf(1.5, 0.5)
 
 
