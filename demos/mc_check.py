@@ -34,7 +34,7 @@ result = simulate(baseline)
 print(f"honest link, {baseline.n_pulses:,} pulses at {baseline.channel.length_km:.0f} km")
 print(f"{'quantity':>10}  {'estimate':>12}  {'target':>12}  {'z':>6}")
 for row in compare_with_model(baseline, result):
-    print(f"{row.name:>10}  {row.estimate:12.4e}  {row.target:12.4e}  {row.z:+6.2f}")
+    print(f"{row.quantity:>10}  {row.estimate:12.4e}  {row.target:12.4e}  {row.z:+6.2f}")
 
 attack = dataclasses.replace(
     baseline,

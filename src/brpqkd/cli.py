@@ -47,6 +47,7 @@ from .params import (
     SourceParams,
     _check_finite,
     _check_grid,
+    _check_integer,
 )
 from .security import evaluate_point
 
@@ -203,6 +204,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _parse_int(raw: str) -> int:
+    try:
+        return int(raw)  # first, so a seed near 2**64 stays exact
+    except ValueError:  # an integral float such as 1e6 counts, as in McConfig
+        return _check_integer("value", float(raw), float("-inf"))
+
+
+_parse_int.__name__ = "int"  # argparse's message reads "invalid int value: ..."
+
+
 def _parse_mu_list(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in raw.split(","))
@@ -234,7 +245,7 @@ def _parse_key(key: str, raw: str) -> object:
     if key == "mu_s":
         parse, expected = _parse_mu_list, "a comma list of floats"
     else:
-        parse, expected = _parse_bool if kind is bool else kind, kind.__name__
+        parse, expected = {bool: _parse_bool, int: _parse_int}.get(kind, kind), kind.__name__
     try:
         return parse(raw)
     except ValueError:
@@ -364,20 +375,10 @@ def _cmd_mc_validate(config: ExperimentConfig, args: argparse.Namespace) -> tupl
     if config.eve_mode == "pns":
         attacked = replace(base, eve=_from_config(EvePolicy, config, mode="pns"))
         comparisons.extend(
-            row._replace(name=f"attack_{row.name}")
+            row._replace(quantity=f"attack_{row.quantity}")
             for row in compare_with_model(attacked, simulate_attack(attacked))
         )
-    records = [
-        {
-            "quantity": row.name,
-            "estimate": row.estimate,
-            "target": row.target,
-            "se": row.se,
-            "z": row.z,
-            "ok": abs(row.z) <= _MC_Z_LIMIT,
-        }
-        for row in comparisons
-    ]
+    records = [{**row._asdict(), "ok": abs(row.z) <= _MC_Z_LIMIT} for row in comparisons]
     all_ok = all(record["ok"] for record in records)
     return _render(records, args.fmt), EXIT_OK if all_ok else EXIT_MC_MISMATCH
 
@@ -404,7 +405,7 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     for f in _FLAG_FIELDS:
         kind = _KEY_TYPES[f.name]
         group.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=kind if kind in (float, int) else None, **f.metadata)
+                           type={float: float, int: _parse_int}.get(kind), **f.metadata)
     group.add_argument("--format", dest="fmt", choices=["csv", "json"], help="output format")
     group.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 

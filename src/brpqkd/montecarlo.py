@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import ChannelParams, DetectorParams, SourceParams, _check_integer, _check_probability
+from .params import (ChannelParams, DetectorParams, SourceParams, _check_fields, _check_integer,
+                     _check_probability)
 from .photon_stats import brp_empty_prob, poisson_pmf, total_efficiency
 from .security import UndefinedPointError, evaluate_point
 
@@ -97,10 +98,7 @@ class EvePolicy:
     def __post_init__(self) -> None:
         if self.mode not in _EVE_MODES:
             raise ValueError(f"eve mode must be one of {_EVE_MODES}, got {self.mode!r}")
-        object.__setattr__(
-            self, "suppress_fraction",
-            _check_probability("suppress_fraction", self.suppress_fraction),
-        )
+        _check_fields(self, _check_probability, ("suppress_fraction",))
         # a truthy string such as "no" must not switch lossless forwarding on
         forward = self.forward_multiphoton_lossless
         if not isinstance(forward, (bool, np.bool_)):
@@ -397,7 +395,9 @@ def _result_from_counts(config: McConfig, total: McCounts) -> McResult:
     )
 
 
-def _run(config: McConfig, threads: int) -> McResult:
+def _run(entry: str, mode: str, config: McConfig, threads: int) -> McResult:
+    if config.eve.mode != mode:
+        raise ValueError(f"{entry} requires eve.mode={mode!r}, got {config.eve.mode!r}")
     threads = _check_integer("threads", threads, 1)
     n_blocks = (config.n_pulses + BLOCK_SIZE - 1) // BLOCK_SIZE
     total = [0] * len(McCounts._fields)
@@ -422,16 +422,12 @@ def _run(config: McConfig, threads: int) -> McResult:
 
 def simulate(config: McConfig, *, threads: int = 1) -> McResult:
     """Run the baseline (no eavesdropper) simulation."""
-    if config.eve.mode != "none":
-        raise ValueError(f"simulate requires eve.mode='none', got {config.eve.mode!r}")
-    return _run(config, threads)
+    return _run("simulate", "none", config, threads)
 
 
 def simulate_attack(config: McConfig, *, threads: int = 1) -> McResult:
     """Run the simulation with the photon-number-splitting policy applied."""
-    if config.eve.mode != "pns":
-        raise ValueError(f"simulate_attack requires eve.mode='pns', got {config.eve.mode!r}")
-    return _run(config, threads)
+    return _run("simulate_attack", "pns", config, threads)
 
 
 class McComparison(NamedTuple):
@@ -449,7 +445,7 @@ class McComparison(NamedTuple):
     the expectation.  A tail too small for a float keeps the normal z.
     """
 
-    name: str
+    quantity: str
     estimate: float
     target: float
     se: float
@@ -490,12 +486,12 @@ def compare_with_model(config: McConfig, result: McResult) -> list[McComparison]
     eta_total = total_efficiency(config.channel, config.det)
     g_b0 = brp_empty_prob(config.source.mu_b, eta_total)
 
-    def row(name: str, estimate: float, target: float, count: int, trials: int,
+    def row(quantity: str, estimate: float, target: float, count: int, trials: int,
             rate: float, scale: float = 1.0) -> McComparison:
         # estimate = scale * count / trials with count ~ Binomial(trials, rate)
         se = scale * _binomial_se(rate, trials)
         z = _z(estimate, target, se, count, trials * rate)
-        return McComparison(name, estimate, target, se, z)
+        return McComparison(quantity, estimate, target, se, z)
 
     rows = []
     if config.eve.mode == "none":

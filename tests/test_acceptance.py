@@ -145,7 +145,7 @@ def test_criterion_6_monte_carlo_agreement():
             det=GYS_DETECTOR,
             seed=1000 + i,
         )
-        rows = {row.name: row for row in compare_with_model(config, simulate(config))}
+        rows = {row.quantity: row for row in compare_with_model(config, simulate(config))}
         for name in ("y_exp", "d_bob", "g_b0"):
             if abs(rows[name].z) > 4.0:
                 failures.append((name, mu_s, length, rows[name].z))

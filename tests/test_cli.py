@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from brpqkd import cli, linkbudget, security
 from brpqkd.cli import format_number, main
 from brpqkd.linkbudget import OpticalChain
-from brpqkd.montecarlo import EvePolicy
+from brpqkd.montecarlo import EvePolicy, McComparison
 from brpqkd.optimize import IDEAL_SOURCE, SweepGrid, disturbance_tradeoff, sweep
 from brpqkd.params import GYS_DETECTOR, IDEAL_DETECTOR, DetectorParams
 
@@ -217,6 +217,7 @@ def test_mc_validate_baseline(capsys):
     rows = json.loads(out)
     quantities = [row["quantity"] for row in rows]
     assert quantities == ["y_exp", "y_1", "d_bob", "g_b0"]
+    assert list(rows[0]) == [*McComparison._fields, "ok"]
     for row in rows:
         assert row["ok"] is True
         assert abs(row["z"]) <= 4.0
@@ -670,6 +671,24 @@ def test_a_config_file_with_a_byte_order_mark_sets_its_first_key(monkeypatch, ca
     from_marked = _calls(monkeypatch, capsys, "--config", str(marked))
     assert from_marked["evaluate"][0].mu_s == from_plain["evaluate"][0].mu_s == 0.37
     assert from_marked["mc"][0].seed == from_plain["mc"][0].seed == 99
+
+
+def test_an_integral_float_reads_as_an_int_from_a_flag_and_a_config_file(
+        monkeypatch, capsys, tmp_path):
+    # the integer rule of McConfig and README: 1e4 counts as 10000, 1.5 does not
+    config = tmp_path / "floats.cfg"
+    config.write_text("n_pulses = 2e4\nseed = 7e0\n")
+    for argv in (("--n-pulses", "2e4", "--seed", "7e0"), ("--config", str(config))):
+        (mc,) = _calls(monkeypatch, capsys, *argv)["mc"]
+        assert (mc.n_pulses, mc.seed) == (20000, 7)
+    # int() reads first, so a seed past the float's 53 bits stays exact
+    (mc,) = _calls(monkeypatch, capsys, "--seed", str(2**64 - 1))["mc"]
+    assert mc.seed == 2**64 - 1
+    for raw in ("1.5", "nan", "inf"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mc-validate", "--n-pulses", raw])
+        assert exit_info.value.code == 2
+        assert f"invalid int value: '{raw}'" in capsys.readouterr().err
 
 
 def test_a_negative_zero_intensity_reads_as_zero(capsys):

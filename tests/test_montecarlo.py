@@ -79,7 +79,7 @@ def test_compare_with_model_without_signal_photons(mu_s, eta_d):
     # are 0, and there is no error rate to compare
     det = DetectorParams(eta_d=eta_d, y0=0.0, e_detector=0.033)
     config = _config(mu_s=mu_s, det=det, n_pulses=200_000)
-    rows = {row.name: row for row in compare_with_model(config, simulate(config))}
+    rows = {row.quantity: row for row in compare_with_model(config, simulate(config))}
     assert list(rows) == ["y_exp", "y_1", "g_b0"]
     assert rows["y_exp"] == ("y_exp", 0.0, 0.0, 0.0, 0.0)
     assert rows["y_1"] == ("y_1", 0.0, 0.0, 0.0, 0.0)
@@ -124,7 +124,7 @@ def test_compare_with_model_targets_are_the_report_fields_bit_for_bit():
     for det, mu_s, length in points:
         config = _config(mu_s=mu_s, length_km=length, det=det, n_pulses=1000)
         report = evaluate_point(config.source, config.channel, det)
-        targets = {row.name: row.target for row in compare_with_model(config, simulate(config))}
+        targets = {row.quantity: row.target for row in compare_with_model(config, simulate(config))}
         assert targets["y_exp"] == report.y_exp
         assert targets["y_1"] == report.y_1
         assert targets["d_bob"] == report.d_bob
@@ -133,10 +133,10 @@ def test_compare_with_model_targets_are_the_report_fields_bit_for_bit():
 def test_compare_with_model_z_scores():
     config = _config(n_pulses=2_000_000, seed=11)
     rows = compare_with_model(config, simulate(config))
-    names = [row.name for row in rows]
+    names = [row.quantity for row in rows]
     assert names == ["y_exp", "y_1", "d_bob", "g_b0"]
     for row in rows:
-        assert abs(row.z) < 4.0, f"{row.name}: z={row.z}"
+        assert abs(row.z) < 4.0, f"{row.quantity}: z={row.z}"
 
 
 def test_null_attack_equals_baseline_bitwise():
@@ -227,7 +227,7 @@ def test_attack_comparison_rows():
     config = _config(mu_s=0.5, mu_b=2000.0, length_km=0.0, det=det, n_pulses=500_000, eve=eve)
     result = simulate_attack(config)
     rows = compare_with_model(config, result)
-    by_name = {row.name: row for row in rows}
+    by_name = {row.quantity: row for row in rows}
     assert set(by_name) == {"g_b0", "interference_error_rate"}
     assert by_name["interference_error_rate"].target == 0.5
     assert abs(by_name["interference_error_rate"].z) < 4.0
@@ -268,7 +268,7 @@ def test_rare_event_z_uses_the_poisson_tail():
     config = _config(mu_b=-math.log(lam / n), length_km=0.0, det=det, n_pulses=n)
     counts = McCounts(n, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
     result = McResult(0.0, 0.0, 0.0, 1 / n, 0.0, counts)
-    (g_b0,) = [row for row in compare_with_model(config, result) if row.name == "g_b0"]
+    (g_b0,) = [row for row in compare_with_model(config, result) if row.quantity == "g_b0"]
     assert n * g_b0.target == pytest.approx(lam, rel=1e-12)
     assert g_b0.se == math.sqrt(g_b0.target * (1.0 - g_b0.target) / n)
     assert (g_b0.estimate - g_b0.target) / g_b0.se == pytest.approx(8.23, abs=0.01)
@@ -286,7 +286,7 @@ def test_rare_event_z_keeps_the_sign(lam, z):
     config = _config(mu_b=-math.log(lam / n), length_km=0.0, det=det, n_pulses=n)
     counts = McCounts(n, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
     result = McResult(0.0, 0.0, 0.0, 1 / n, 0.0, counts)
-    (g_b0,) = [row for row in compare_with_model(config, result) if row.name == "g_b0"]
+    (g_b0,) = [row for row in compare_with_model(config, result) if row.quantity == "g_b0"]
     assert g_b0.z == pytest.approx(z, abs=0.005)
 
 
